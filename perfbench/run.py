@@ -8,20 +8,16 @@ Run from the repository root:
 Builds the library and the benchmark driver from source (CMake, into
 $CARGO_TARGET_DIR or .bench_build), runs the driver once in a fresh work
 directory that holds the run's JIT cache, outcome store and compiler scratch
-files, removes that directory, checks that the result names every metric
-BENCHMARK.json declares for the mode with its declared unit, and prints the
-result JSON as the last line of standard output. --trace 1 also writes the
+files, removes that directory, checks that the driver judged every reply
+correct and that the result names every metric BENCHMARK.json declares for
+the mode with its declared unit, and prints the result JSON as the last line
+of standard output; otherwise it exits non-zero without a result. --trace 1 also writes the
 run's spans to <build dir>/spans/<workload>-seed<seed>.jsonl.
 
     python3 perfbench/run.py --self-check [--seconds 2]
 
-runs every workload in both modes on two seeds and fails unless every
-declared metric is printed with its unit each time.
-
-The driver also serves `paper2d` (the seven Table 3 pairs on Table 2
-matrices, 4 clients x 1 thread). BENCHMARK.json leaves it out: its
-end-to-end figures spread more between runs than the bounds allow on a
-shared 4-vCPU host, so it is run by hand, not gated.
+runs every workload in both modes on two seeds and fails unless each run
+is correct and prints every declared metric with its unit.
 """
 
 import argparse
@@ -144,7 +140,10 @@ def main():
                 for trace in (0, 1):
                     code, lines = run_once(driver, w["name"], seed, seconds, trace)
                     try:
-                        problems = check_metrics(spec, trace, json.loads(lines[-1]))
+                        result = json.loads(lines[-1])
+                        problems = check_metrics(spec, trace, result)
+                        if result.get("correct") is not True:
+                            problems.append("result not correct")
                     except (IndexError, ValueError):
                         problems = ["no result line"]
                     if code != 0:
@@ -165,6 +164,8 @@ def main():
     except ValueError:
         fail("driver printed no result line")
     problems = check_metrics(spec, args.trace, result)
+    if result.get("correct") is not True:
+        problems.append("the driver reported an incorrect result")
     if problems:
         fail("result does not match BENCHMARK.json: " + "; ".join(problems))
     print("\n".join(lines))

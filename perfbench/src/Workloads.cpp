@@ -8,7 +8,6 @@
 
 #include "codegen/Generator.h"
 #include "formats/Standard.h"
-#include "tensor/Corpus.h"
 #include "tensor/Generators.h"
 #include "tensor/Oracle.h"
 
@@ -16,9 +15,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <random>
 #include <thread>
+
+#include <sched.h>
 
 using namespace convgen;
 
@@ -53,22 +53,6 @@ void addRequest(Workload &W, const formats::Format &Src,
   R.Nnz = Nnz;
   R.Label = Src.Name + "->" + Dst.Name + " " + What + "@" + nnzTag(Nnz);
   W.Requests.push_back(std::move(R));
-}
-
-/// Runs Fn(0..N-1) on every host thread; the input generators are pure.
-void parallelFor(size_t N, const std::function<void(size_t)> &Fn) {
-  std::atomic<size_t> Next{0};
-  auto Worker = [&] {
-    for (size_t I; (I = Next.fetch_add(1)) < N;)
-      Fn(I);
-  };
-  std::vector<std::thread> Threads;
-  unsigned Extra = std::max(1u, std::thread::hardware_concurrency()) - 1;
-  for (unsigned T = 0; T < Extra && T + 1 < N; ++T)
-    Threads.emplace_back(Worker);
-  Worker();
-  for (std::thread &T : Threads)
-    T.join();
 }
 
 /// The planner's default engagement floor (CONVGEN_PLANNER_MIN_NNZ).
@@ -131,91 +115,16 @@ void smallAllPairs(uint64_t Seed, Workload &W) {
   }
 }
 
-/// A Table 2 matrix drawn into the working set, in the three source
-/// formats the Table 3 pairs read.
-struct DrawnMatrix {
-  std::string Name;
-  int64_t Nnz = 0;
-  bool DiaViable = false;
-  bool EllViable = false;
-  tensor::SparseTensor Coo, Csr, Csc;
-};
-
-/// Four corpus families, two matrices each at a fixed size slot; the seed
-/// draws each matrix's scale within +-7% of its slot, so every seed serves
-/// different matrices in the same family/size mix.
-void paper2d(uint64_t Seed, Workload &W) {
-  W.Clients = 4;
-  W.OmpThreads = 1;
-  W.SetupReps = 7;
-  struct Slot {
-    const char *Matrix;
-    double TargetNnz;
-  };
-  // Stencil, banded, scattered and power-law, a smaller and a larger slot
-  // each (37 requests after the padding rule: an odd count, so the latency
-  // median falls inside one request's samples, not between two).
-  const std::vector<Slot> Slots = {
-      {"jnlbrng1", 6e4},        {"majorbasis", 1.8e5},
-      {"cant", 1.5e5},          {"shipsec1", 6e5},
-      {"mac_econ_fwd500", 1e5}, {"cop20k_A", 4e5},
-      {"webbase-1M", 4e4},      {"webbase-1M", 1e6}};
-
-  std::mt19937_64 Rng(mix(Seed, 0));
-  std::uniform_real_distribution<double> Jitter(0.93, 1.07);
-  std::vector<double> Scales;
-  for (const Slot &S : Slots)
-    Scales.push_back(std::min(1.0, S.TargetNnz /
-                                       static_cast<double>(
-                                           tensor::corpusEntry(S.Matrix).Nnz) *
-                                       Jitter(Rng)));
-  std::vector<DrawnMatrix> Drawn(Slots.size());
-  parallelFor(Slots.size(), [&](size_t I) {
-    const tensor::CorpusEntry &E = tensor::corpusEntry(Slots[I].Matrix);
-    tensor::Triplets T = E.Generate(Scales[I]);
-    DrawnMatrix &M = Drawn[I];
-    M.Name = E.Name;
-    M.Nnz = T.nnz();
-    // The paper omits DIA/ELL conversions whose padded layout would be
-    // more than 75% explicit zeros (section 7.2).
-    double Rows = static_cast<double>(T.NumRows);
-    M.DiaViable = double(M.Nnz) >= 0.25 * double(T.countDiagonals()) * Rows;
-    M.EllViable = double(M.Nnz) >= 0.25 * double(T.maxRowCount()) * Rows;
-    M.Coo = tensor::buildFromTriplets(formats::makeCOO(), T);
-    M.Csr = tensor::buildFromTriplets(formats::makeCSR(), T);
-    M.Csc = tensor::buildFromTriplets(formats::makeCSC(), T);
-  });
-
-  formats::Format Coo = formats::makeCOO(), Csr = formats::makeCSR(),
-                  Csc = formats::makeCSC(), Dia = formats::makeDIA(),
-                  Ell = formats::makeELL();
-  for (DrawnMatrix &M : Drawn) {
-    const tensor::SparseTensor *InCoo = own(W, std::move(M.Coo));
-    const tensor::SparseTensor *InCsr = own(W, std::move(M.Csr));
-    const tensor::SparseTensor *InCsc = own(W, std::move(M.Csc));
-    addRequest(W, Coo, Csr, InCoo, M.Nnz, M.Name);
-    if (M.DiaViable)
-      addRequest(W, Coo, Dia, InCoo, M.Nnz, M.Name);
-    addRequest(W, Csr, Csc, InCsr, M.Nnz, M.Name);
-    if (M.DiaViable)
-      addRequest(W, Csr, Dia, InCsr, M.Nnz, M.Name);
-    if (M.EllViable)
-      addRequest(W, Csr, Ell, InCsr, M.Nnz, M.Name);
-    if (M.DiaViable)
-      addRequest(W, Csc, Dia, InCsc, M.Nnz, M.Name);
-    if (M.EllViable)
-      addRequest(W, Csc, Ell, InCsc, M.Nnz, M.Name);
-  }
-}
-
 /// The three order-3 generators at fixed size slots; the seed draws the
 /// coordinates. Extents are far past the dense-rank budget, so every CSF
 /// level is assembled by sorting. The last slot serves coo3->csf only,
 /// making the request count odd so the latency median falls inside one
 /// request's samples.
 void tensor3Sort(uint64_t Seed, Workload &W) {
+  // One client whose OpenMP team leaves the system a CPU: a team on every
+  // CPU stalls at each barrier whenever the host takes one of them.
   W.Clients = 1;
-  W.OmpThreads = 4;
+  W.OmpThreads = std::max(1, hostThreads() - 1);
   // Random and skewed tuples pack into 64-bit radix-sort keys; the 2^31 x
   // 2^20 x 2^20 hypersparse ones do not.
   const int64_t Big = int64_t(1) << 31, Mid = int64_t(1) << 20,
@@ -263,12 +172,31 @@ void tensor3Sort(uint64_t Seed, Workload &W) {
 
 } // namespace
 
+int hostThreads() {
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    return std::max(1, CPU_COUNT(&Set));
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+void parallelFor(size_t N, const std::function<void(size_t)> &Fn) {
+  std::atomic<size_t> Next{0};
+  auto Worker = [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < N;)
+      Fn(I);
+  };
+  std::vector<std::thread> Threads;
+  for (size_t T = 1; T < static_cast<size_t>(hostThreads()) && T < N; ++T)
+    Threads.emplace_back(Worker);
+  Worker();
+  for (std::thread &T : Threads)
+    T.join();
+}
+
 bool makeWorkload(const std::string &Name, uint64_t Seed, Workload *Out) {
   Out->Name = Name;
   if (Name == "small-allpairs")
     smallAllPairs(Seed, *Out);
-  else if (Name == "paper2d")
-    paper2d(Seed, *Out);
   else if (Name == "tensor3-sort")
     tensor3Sort(Seed, *Out);
   else

@@ -14,15 +14,10 @@
 ///   small-allpairs  every supported order-2 and order-3 standard pair on
 ///                   1e3..3e4-nnz inputs (below the planner floor), so
 ///                   fixed per-request costs dominate; 4 clients x 1 thread
-///   paper2d         the seven Table 3 pairs on a seeded draw of Table 2
-///                   corpus matrices (stencil, banded, scattered,
-///                   power-law) at 4e4..1e6 nnz, DIA/ELL targets skipped
-///                   under the paper's 75%-padding rule; 4 clients x 1.
-///                   Not in BENCHMARK.json: its figures spread past the
-///                   bounds between runs on a shared 4-vCPU host.
 ///   tensor3-sort    coo3->csf and csf->csf_102 on random, slice-skewed and
 ///                   huge-dims hypersparse order-3 tensors of 2.5e5..5e5
-///                   nnz, where the sort phase dominates; 1 client x 4
+///                   nnz, where the sort phase dominates; 1 client x (host
+///                   CPUs - 1) threads, leaving the system one CPU
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +28,7 @@
 #include "tensor/SparseTensor.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,13 +50,16 @@ struct Workload {
   std::string Name;
   int Clients = 1;
   int OmpThreads = 1;
-  /// Cold set-ups per end-to-end run (setup_s is their median): more where
-  /// one set-up is short and therefore noisy.
-  int SetupReps = 3;
   /// Owned inputs; requests borrow them.
   std::vector<std::unique_ptr<convgen::tensor::SparseTensor>> Inputs;
   std::vector<Request> Requests;
 };
+
+/// CPUs this process may run on (its affinity mask, as nproc counts them).
+int hostThreads();
+
+/// Runs Fn(0..N-1) on hostThreads() threads, indices handed out in order.
+void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
 
 /// Builds \p Name's working set from \p Seed; false on an unknown name.
 bool makeWorkload(const std::string &Name, uint64_t Seed, Workload *Out);

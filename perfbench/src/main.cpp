@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -155,21 +156,23 @@ double storageBytes(const SparseTensor &T) {
   return B;
 }
 
+/// Whether resetPeakRss() managed to reset the kernel's peak-RSS mark.
+bool PeakMarkReset = false;
+
 /// Resets the kernel's peak-RSS mark (Linux clear_refs), so peakRssMiB()
 /// covers serving only, not the oracle's transient interpreter state.
-/// False where the mark cannot be reset.
-bool resetPeakRss() {
+void resetPeakRss() {
   std::FILE *F = std::fopen("/proc/self/clear_refs", "w");
   if (!F)
-    return false;
+    return;
   bool Ok = std::fputs("5", F) >= 0;
-  return std::fclose(F) == 0 && Ok;
+  PeakMarkReset = std::fclose(F) == 0 && Ok;
 }
 
 /// Peak resident set size since the last resetPeakRss() (VmHWM), or over
 /// the process lifetime (getrusage) where the mark was not reset.
-double peakRssMiB(bool SinceReset) {
-  if (SinceReset)
+double peakRssMiB() {
+  if (PeakMarkReset)
     if (std::FILE *F = std::fopen("/proc/self/status", "r")) {
       char Line[256];
       long long Kib = -1;
@@ -280,12 +283,11 @@ StatusOr<SparseTensor> serve(ConversionService &Svc, const Request &R) {
 }
 
 /// Per-client samples of a closed-loop phase.
-/// Samples are kept compact (8 bytes each) so the log's own growth barely
-/// moves the peak RSS the run reports.
+/// Samples are kept compact (4 bytes each) in fixed-size blocks that are
+/// never copied, so the log's own growth barely moves the peak RSS the run
+/// reports, however many requests the run serves.
 struct ClientLog {
-  std::vector<float> LatencyMs;
-  std::vector<uint32_t> Served; // request index of each sample
-  std::vector<double> MnnzPerSecond;
+  std::deque<float> LatencyMs;
   double Nnz = 0;
   Clock::time_point End;
 };
@@ -302,7 +304,6 @@ std::vector<ClientLog> closedLoop(ConversionService &Svc, const Workload &W,
                                   const Clock::time_point *Stop) {
   std::vector<ClientLog> Logs(static_cast<size_t>(Clients));
   std::atomic<size_t> Next{0};
-  Clock::time_point Start = Clock::now();
   auto Client = [&](int C) {
     setOmpThreads(Omp);
     ClientLog &Log = Logs[static_cast<size_t>(C)];
@@ -325,11 +326,6 @@ std::vector<ClientLog> closedLoop(ConversionService &Svc, const Workload &W,
       StatusOr<SparseTensor> Out = serve(Svc, R);
       Clock::time_point T1 = Clock::now();
       Log.LatencyMs.push_back(static_cast<float>(secondsBetween(T0, T1) * 1e3));
-      Log.Served.push_back(static_cast<uint32_t>(Idx));
-      size_t Second = static_cast<size_t>(secondsBetween(Start, T1));
-      if (Log.MnnzPerSecond.size() <= Second)
-        Log.MnnzPerSecond.resize(Second + 1);
-      Log.MnnzPerSecond[Second] += static_cast<double>(R.Nnz) * 1e-6;
       Log.Nnz += static_cast<double>(R.Nnz);
       T.record(R, Out, Want[Idx]);
     }
@@ -396,6 +392,8 @@ struct PhaseResult {
   double Seconds = 0;
   double Nnz = 0;
   std::vector<double> LatencyMs; // sorted
+  /// Peak RSS at the end of the phase, before the samples are merged.
+  double PeakRssMiB = 0;
   double throughputMnnzS() const { return Seconds > 0 ? Nnz / Seconds / 1e6 : 0; }
 };
 
@@ -412,27 +410,8 @@ PhaseResult timedPhase(ConversionService &Svc, const Workload &W,
   std::vector<ClientLog> Logs =
       closedLoop(Svc, W, Want, Order, Clients, W.OmpThreads, T, &Stop);
   PhaseResult P;
+  P.PeakRssMiB = peakRssMiB();
   Clock::time_point End = Start;
-  std::vector<std::vector<double>> PerRequest(W.Requests.size());
-  for (const ClientLog &L : Logs)
-    for (size_t I = 0; I < L.Served.size(); ++I)
-      PerRequest[L.Served[I]].push_back(L.LatencyMs[I]);
-  for (size_t I = 0; I < PerRequest.size(); ++I)
-    std::fprintf(stderr, "perfbench: %-40s %6zu samples, median %9.3f ms\n",
-                 W.Requests[I].Label.c_str(), PerRequest[I].size(),
-                 median(PerRequest[I]));
-  // Throughput per second of the phase, to tell steady machine noise from
-  // transient interference.
-  std::vector<double> Windows;
-  for (const ClientLog &L : Logs) {
-    Windows.resize(std::max(Windows.size(), L.MnnzPerSecond.size()));
-    for (size_t I = 0; I < L.MnnzPerSecond.size(); ++I)
-      Windows[I] += L.MnnzPerSecond[I];
-  }
-  std::fprintf(stderr, "perfbench: Mnnz per second:");
-  for (double X : Windows)
-    std::fprintf(stderr, " %.1f", X);
-  std::fprintf(stderr, "\n");
   for (ClientLog &L : Logs) {
     P.Nnz += L.Nnz;
     P.LatencyMs.insert(P.LatencyMs.end(), L.LatencyMs.begin(),
@@ -722,9 +701,9 @@ int main(int Argc, char **Argv) {
   jit::jitOpenMPAvailable(); // Probe once, outside every timed set-up.
   progress("inputs");
 
-  // Thread budget: clients x OpenMP threads never exceeds the host.
-  int HostThreads =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // Thread budget: clients x OpenMP threads never exceeds the CPUs this
+  // process may use.
+  int HostThreads = hostThreads();
   W.Clients = std::min(W.Clients, HostThreads);
   W.OmpThreads = std::max(1, std::min(W.OmpThreads, HostThreads / W.Clients));
 
@@ -737,33 +716,23 @@ int main(int Argc, char **Argv) {
   std::sort(BySize.begin(), BySize.end(), [&](size_t X, size_t Y) {
     return W.Requests[X].Nnz > W.Requests[Y].Nnz;
   });
-  std::atomic<size_t> NextOracle{0};
   std::atomic<bool> OracleFailed{false};
-  auto oracleWorker = [&] {
-    for (size_t N; (N = NextOracle.fetch_add(1)) < BySize.size();) {
-      const Request &R = W.Requests[BySize[N]];
-      StatusOr<convert::Converter> C =
-          convert::Converter::tryCreate(R.Src, R.Dst);
-      StatusOr<SparseTensor> Out =
-          C.ok() ? C->tryRun(*R.Input) : StatusOr<SparseTensor>(C.status());
-      if (!Out.ok()) {
-        std::fprintf(stderr, "perfbench: oracle failed on %s: %s\n",
-                     R.Label.c_str(), Out.status().message().c_str());
-        OracleFailed = true;
-        continue;
-      }
-      Want[BySize[N]] = Out.take();
+  parallelFor(BySize.size(), [&](size_t N) {
+    const Request &R = W.Requests[BySize[N]];
+    StatusOr<convert::Converter> C = convert::Converter::tryCreate(R.Src, R.Dst);
+    StatusOr<SparseTensor> Out =
+        C.ok() ? C->tryRun(*R.Input) : StatusOr<SparseTensor>(C.status());
+    if (!Out.ok()) {
+      std::fprintf(stderr, "perfbench: oracle failed on %s: %s\n",
+                   R.Label.c_str(), Out.status().message().c_str());
+      OracleFailed = true;
+      return;
     }
-  };
-  std::vector<std::thread> OracleThreads;
-  for (int I = 1; I < HostThreads; ++I)
-    OracleThreads.emplace_back(oracleWorker);
-  oracleWorker();
-  for (std::thread &Th : OracleThreads)
-    Th.join();
+    Want[BySize[N]] = Out.take();
+  });
   if (OracleFailed)
     return 2;
-  bool PeakReset = resetPeakRss();
+  resetPeakRss();
   progress("oracle");
   KeySet Keys = keySetOf(W);
   std::vector<size_t> Order(W.Requests.size());
@@ -793,7 +762,8 @@ int main(int Argc, char **Argv) {
     Flow.DeadlineExpired += S.DeadlineExpired;
     Flow.DegradedRuns += S.DegradedRuns;
   };
-  int SetupReps = A.Trace ? 1 : W.SetupReps;
+  // setup_s is the median of several cold set-ups; the traced run needs one.
+  int SetupReps = A.Trace ? 1 : 5;
   std::vector<double> SetupSecs;
   SetupResult Setup;
   for (int Rep = 0; Rep < SetupReps; ++Rep) {
@@ -825,7 +795,7 @@ int main(int Argc, char **Argv) {
     M.add("success_rate",
           Attempted ? double(Attempted - Failed) / double(Attempted) : 0,
           "ratio");
-    M.add("peak_rss_mib", peakRssMiB(PeakReset), "MiB");
+    M.add("peak_rss_mib", Timed.PeakRssMiB, "MiB");
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   ", \"latency_samples\": %llu, \"samples_beyond_p99\": %zu"
@@ -980,6 +950,14 @@ int main(int Argc, char **Argv) {
                          "not native timings\n",
                  support::DegradationLog::instance().summary().c_str());
     return 3;
+  }
+  if (!Correct) {
+    std::fprintf(stderr, "perfbench: %llu of %llu replies differed from the "
+                         "oracle or failed, or a set-up did not compile "
+                         "every key exactly once\n",
+                 static_cast<unsigned long long>(Failed),
+                 static_cast<unsigned long long>(Attempted));
+    return 4;
   }
   return 0;
 }
