@@ -311,16 +311,34 @@ std::string convert::contentHash(const std::string &Data) {
 }
 
 std::string convert::formatFingerprint(const formats::Format &F) {
-  std::string Out = F.Name + "|" + std::to_string(F.SrcOrder) + "|" +
-                    remap::printRemap(F.Remap) + "|" +
-                    remap::printRemap(F.Inverse) + "|";
-  for (const formats::LevelSpec &L : F.Levels)
-    Out += strfmt("%s:%d:%d:%d:%d,%d;", formats::levelKindName(L.Kind),
-                  L.Dim, L.Unique ? 1 : 0, L.Padded ? 1 : 0, L.AddendDims[0],
-                  L.AddendDims[1]);
+  // Appended in place (no printf): every warm request renders two of
+  // these for its route key.
+  std::string Out;
+  Out.reserve(160);
+  Out += F.Name;
+  Out += '|';
+  Out += std::to_string(F.SrcOrder);
+  Out += '|';
+  Out += remap::printRemap(F.Remap);
+  Out += '|';
+  Out += remap::printRemap(F.Inverse);
+  Out += '|';
+  for (const formats::LevelSpec &L : F.Levels) {
+    Out += formats::levelKindName(L.Kind);
+    Out += ':';
+    Out += std::to_string(L.Dim);
+    Out += L.Unique ? ":1" : ":0";
+    Out += L.Padded ? ":1:" : ":0:";
+    Out += std::to_string(L.AddendDims[0]);
+    Out += ',';
+    Out += std::to_string(L.AddendDims[1]);
+    Out += ';';
+  }
   Out += F.PaddedVals ? "|padded" : "|dense-vals";
-  for (int64_t P : F.StaticParams)
-    Out += "|" + std::to_string(P);
+  for (int64_t P : F.StaticParams) {
+    Out += '|';
+    Out += std::to_string(P);
+  }
   return Out;
 }
 
@@ -374,6 +392,47 @@ std::string convert::planKey(const formats::Format &Source,
                     Opts.ForceNoSharedSort ? 1 : 0,
                     Opts.ForceSortedRanking ? 1 : 0);
   }
+  return Key;
+}
+
+std::string convert::routeKey(const formats::Format &Source,
+                              const formats::Format &Target,
+                              const codegen::Options &Opts,
+                              const std::string &InputFormat,
+                              const std::vector<int64_t> &Dims,
+                              const std::string &ExtraFlags) {
+  // One character per Options field, then the length-prefixed input
+  // format name, so no two inputs render alike.
+  const char Bits[] = {Opts.OptimizeQueries ? 'q' : '-',
+                       Opts.CounterReuse ? 'c' : '-',
+                       Opts.ForceUnseqEdges ? 'u' : '-',
+                       Opts.MaterializeRemap ? 'm' : '-',
+                       static_cast<char>('0' + static_cast<int>(Opts.ForceRank)),
+                       static_cast<char>('0' + static_cast<int>(Opts.ForceSort)),
+                       Opts.ForceNoSharedSort ? 'g' : '-',
+                       Opts.ForceSortedRanking ? 'S' : '-',
+                       '\0'};
+  std::string Key = formatFingerprint(Source);
+  Key += " => ";
+  Key += formatFingerprint(Target);
+  Key += " [";
+  Key += Bits;
+  Key += "] <";
+  Key += std::to_string(InputFormat.size());
+  Key += ':';
+  Key += InputFormat;
+  Key += "> h";
+  for (int64_t D : Opts.DimsHint) {
+    Key += std::to_string(D);
+    Key += ',';
+  }
+  Key += " @";
+  for (int64_t D : Dims) {
+    Key += std::to_string(D);
+    Key += ',';
+  }
+  Key += " !";
+  Key += ExtraFlags;
   return Key;
 }
 
@@ -472,18 +531,23 @@ PlanCache::plan(const formats::Format &Source, const formats::Format &Target,
   return Generated;
 }
 
+/// The DeadlineExceeded of a \p Layer ("plan", "jit") request that
+/// arrives with its deadline already expired.
+static Status arrivedExpired(const std::string &Layer) {
+  DegradationLog::instance().record(
+      Degradation::DeadlineExceeded,
+      Layer + " request arrived with an expired deadline");
+  return Status::error(ErrorCode::DeadlineExceeded,
+                       Layer + ": request deadline expired");
+}
+
 StatusOr<std::shared_ptr<const codegen::Conversion>>
 PlanCache::tryPlan(const formats::Format &Source,
                    const formats::Format &Target,
                    const codegen::Options &Opts,
                    const support::Deadline &Deadline) {
-  if (Deadline.expired()) {
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        "plan request arrived with an expired deadline");
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "plan: request deadline expired");
-  }
+  if (Deadline.expired())
+    return arrivedExpired("plan");
   std::string Why;
   bool Supported = codegen::conversionSupported(Source, Target, Opts, &Why);
   if (!Supported)
@@ -495,13 +559,8 @@ StatusOr<std::shared_ptr<jit::JitConversion>>
 PlanCache::tryJit(const formats::Format &Source, const formats::Format &Target,
                   const codegen::Options &Opts, const std::string &ExtraFlags,
                   const support::Deadline &Deadline) {
-  if (Deadline.expired()) {
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        "jit request arrived with an expired deadline");
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "jit: request deadline expired");
-  }
+  if (Deadline.expired())
+    return arrivedExpired("jit");
   std::string Why;
   bool Supported = codegen::conversionSupported(Source, Target, Opts, &Why);
   if (!Supported)
@@ -511,6 +570,61 @@ PlanCache::tryJit(const formats::Format &Source, const formats::Format &Target,
   // the caller gets always converts. Only a finite deadline can turn this
   // into an error (DeadlineExceeded).
   return jitImpl(Source, Target, Opts, ExtraFlags, Deadline);
+}
+
+StatusOr<std::shared_ptr<jit::JitConversion>>
+PlanCache::tryJitFor(const formats::Format &Source,
+                     const formats::Format &Target,
+                     const codegen::Options &Opts,
+                     const tensor::SparseTensor &Input,
+                     const std::string &ExtraFlags,
+                     const support::Deadline &Deadline) {
+  if (Deadline.expired())
+    return arrivedExpired("jit");
+  std::string Key = routeKey(Source, Target, Opts, Input.Format.Name,
+                             Input.Dims, ExtraFlags);
+  Shard &S = shardFor(Key);
+  // Snapshots are never freed (codegen/Knobs.h), so the pointer names one
+  // for the process lifetime. Taken before routing: an entry may carry an
+  // older snapshot than the one its route was derived under (it then
+  // merely re-routes), never a newer one.
+  const codegen::StrategyKnobs *Knobs = &codegen::knobs();
+  {
+    std::shared_lock<std::shared_mutex> Read(S.Mu);
+    auto It = S.Routes.find(Key);
+    if (It != S.Routes.end() && It->second.Knobs == Knobs) {
+      Stats.JitHits.fetch_add(1, std::memory_order_relaxed);
+      return It->second.Handle;
+    }
+  }
+  // Route the dims to their plan (a handle compiled with dense ranking
+  // rejects huge-dims tensors; see Jit.h), acquire, and check the shape.
+  StatusOr<JitPtr> Handle = tryJit(
+      Source, Target, codegen::optionsForDims(Source, Target, Opts, Input.Dims),
+      ExtraFlags, Deadline);
+  if (!Handle.ok())
+    return Handle;
+  Status Shape = (*Handle)->checkShape(Input);
+  if (!Shape.ok())
+    return Shape;
+  // Like jitImpl, a handle degraded by this caller's deadline is served
+  // but never remembered.
+  if (!(*Handle)->degradedByRequestDeadline()) {
+    std::unique_lock<std::shared_mutex> Write(S.Mu);
+    if (S.Routes.size() >= kMaxRoutes / kNumShards && !S.Routes.count(Key))
+      S.Routes.erase(S.Routes.begin());
+    S.Routes[Key] = Route{*Handle, Knobs};
+  }
+  return Handle;
+}
+
+size_t PlanCache::routeCount() const {
+  size_t N = 0;
+  for (const Shard &S : Shards) {
+    std::shared_lock<std::shared_mutex> Read(S.Mu);
+    N += S.Routes.size();
+  }
+  return N;
 }
 
 std::shared_ptr<jit::JitConversion>
@@ -641,6 +755,7 @@ void PlanCache::clearMemory() {
     std::unique_lock<std::shared_mutex> Write(S.Mu);
     S.Plans.clear();
     S.Jits.clear();
+    S.Routes.clear();
     // Flights stay: their leaders will publish into the cleared maps when
     // they land, and interrupting them would strand their waiters.
   }

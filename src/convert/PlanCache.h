@@ -17,7 +17,11 @@
 ///     compiler within the process;
 ///   * compiled shared objects are additionally installed in an on-disk
 ///     cache keyed by a hash of the emitted C source, the compile flags,
-///     and the compiler, so *new* processes skip the external compiler too.
+///     and the compiler, so *new* processes skip the external compiler too;
+///   * warm requests resolve their route once: tryJitFor memoizes
+///     (pair, options, input format, dims, flags) -> the JIT handle whose
+///     shape check already passed for exactly that input, so a repeated
+///     request shape skips dims routing, plan keying and the size guard.
 ///
 /// The on-disk cache is crash-safe under concurrent writers: objects are
 /// staged in the cache directory and installed with an atomic rename while
@@ -57,6 +61,8 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 namespace convgen {
 namespace convert {
@@ -170,11 +176,39 @@ public:
          const std::string &ExtraFlags = "",
          const support::Deadline &Deadline = {});
 
+  /// The handle that serves \p Input on the (\p Source, \p Target, \p Opts)
+  /// pair, with JitConversion::checkShape already passed for exactly this
+  /// input's format name and dims: run it with tryRunShaped(), which still
+  /// checks the source's coordinate order. Equivalent to
+  /// tryJit(Source, Target, optionsForDims(Source, Target, Opts,
+  /// Input.Dims), ExtraFlags, Deadline) followed by checkShape(Input), and
+  /// that is what a miss runs. A route whose check passed is memoized
+  /// under routeKey() and the current codegen::knobs() snapshot, so a warm
+  /// request repeats none of it; a memo hit counts as a JitHit. Failed
+  /// checks, errors and handles degraded by this caller's deadline are
+  /// never memoized. The memo holds at most kMaxRoutes entries (an
+  /// arbitrary entry of the key's shard makes room); clearMemory() drops
+  /// it, and an entry made under a superseded knobs() snapshot (after
+  /// reloadKnobsFromEnv()) is never served — its key re-routes.
+  StatusOr<std::shared_ptr<jit::JitConversion>>
+  tryJitFor(const formats::Format &Source, const formats::Format &Target,
+            const codegen::Options &Opts, const tensor::SparseTensor &Input,
+            const std::string &ExtraFlags = "",
+            const support::Deadline &Deadline = {});
+
+  /// Upper bound on memoized routes across all shards. A working set of
+  /// request shapes larger than this keeps working; its excess requests
+  /// resolve their route the slow way.
+  static constexpr size_t kMaxRoutes = 1024;
+
+  /// Routes currently memoized (tests).
+  size_t routeCount() const;
+
   /// A consistent-enough snapshot for concurrent readers (see
   /// PlanCacheStats).
   PlanCacheStats stats() const;
 
-  /// Drops all memoized plans and JIT handles (tests; outstanding
+  /// Drops all memoized plans, JIT handles and routes (tests; outstanding
   /// shared_ptrs stay valid). In-flight builds are not interrupted; they
   /// repopulate their entry when they land. The on-disk cache is
   /// untouched.
@@ -266,6 +300,13 @@ private:
     Flight() : Future(Promise.get_future().share()) {}
   };
 
+  /// A memoized route: the handle, and the knobs() snapshot its options
+  /// and shape check were derived under.
+  struct Route {
+    JitPtr Handle;
+    const codegen::StrategyKnobs *Knobs = nullptr;
+  };
+
   /// 16 shards keep unrelated keys off each other's locks; within a
   /// shard, shared_mutex keeps the (overwhelmingly common) hit path
   /// reader-parallel. Entries are immutable shared_ptrs — publication
@@ -276,8 +317,11 @@ private:
     std::map<std::string, JitPtr> Jits;
     std::map<std::string, std::shared_ptr<Flight<PlanPtr>>> PlanFlights;
     std::map<std::string, std::shared_ptr<Flight<JitPtr>>> JitFlights;
+    std::unordered_map<std::string, Route> Routes;
   };
   static constexpr int kNumShards = 16;
+  static_assert(kMaxRoutes % kNumShards == 0,
+                "the route cap splits evenly across the shards");
 
   Shard &shardFor(const std::string &Key) const;
 
@@ -358,6 +402,17 @@ std::string formatFingerprint(const formats::Format &F);
 std::string planKey(const formats::Format &Source,
                     const formats::Format &Target,
                     const codegen::Options &Opts);
+
+/// The route-memo key of PlanCache::tryJitFor: both format fingerprints,
+/// every codegen::Options field (DimsHint included), the input's format
+/// name and dims, and the extra compile flags. Everything a route depends
+/// on besides the strategy knobs, which the memo checks by snapshot.
+std::string routeKey(const formats::Format &Source,
+                     const formats::Format &Target,
+                     const codegen::Options &Opts,
+                     const std::string &InputFormat,
+                     const std::vector<int64_t> &Dims,
+                     const std::string &ExtraFlags);
 
 /// 64-bit FNV-1a, rendered as 16 hex digits (disk cache file names and
 /// the per-entry checksum manifests).

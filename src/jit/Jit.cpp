@@ -406,13 +406,14 @@ static bool loadConversion(const std::string &SoPath,
   return true;
 }
 
-/// Resolves the per-phase timing array a freshly emitted routine exports;
-/// returns null for objects that predate phase timing (stale disk cache).
-static double *loadPhaseSeconds(void *Handle, const std::string &FnName) {
-  using Accessor = double *(*)(void);
-  Accessor Get = reinterpret_cast<Accessor>(
+/// Resolves the per-phase timing accessor a freshly emitted routine
+/// exports; returns null for objects that predate phase timing (stale disk
+/// cache). The accessor, not its result, is kept: the array it returns is
+/// thread-local, so it must be called on the thread that reads it.
+static PhaseAccessorFn loadPhaseAccessor(void *Handle,
+                                         const std::string &FnName) {
+  return reinterpret_cast<PhaseAccessorFn>(
       dlsym(Handle, (FnName + "_phase_seconds").c_str()));
-  return Get ? Get() : nullptr;
 }
 
 /// Transient-failure retry budget (CONVGEN_JIT_ATTEMPTS, default 3,
@@ -475,7 +476,7 @@ JitConversion::loadCachedOnly(const codegen::Conversion &Conversion,
     return nullptr;
   }
   J->FromCache = true;
-  J->PhaseSecs = loadPhaseSeconds(J->Handle, J->Conv.Func.Name);
+  J->PhaseAccessor = loadPhaseAccessor(J->Handle, J->Conv.Func.Name);
   return J;
 }
 
@@ -491,7 +492,7 @@ Status JitConversion::initialize(const std::string &ExtraFlags,
     std::string Error;
     if (loadConversion(CachedSoPath, Conv.Func.Name, &Handle, &Fn, &Error)) {
       FromCache = true;
-      PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
+      PhaseAccessor = loadPhaseAccessor(Handle, Conv.Func.Name);
       return Status();
     }
     DegradationLog::instance().record(Degradation::JitLoadFailure, Error);
@@ -653,7 +654,7 @@ Status JitConversion::compileAndLoadOnce(
     return Status::error(ErrorCode::Unavailable, Error);
   }
   WorkDir = Dir;
-  PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
+  PhaseAccessor = loadPhaseAccessor(Handle, Conv.Func.Name);
   return Status();
 }
 
@@ -803,6 +804,13 @@ void JitConversion::runRaw(const CTensor *A, CTensor *B) const {
 
 StatusOr<tensor::SparseTensor>
 JitConversion::tryRun(const tensor::SparseTensor &In) const {
+  Status Shape = checkShape(In);
+  if (!Shape.ok())
+    return Shape;
+  return tryRunShaped(In);
+}
+
+Status JitConversion::checkShape(const tensor::SparseTensor &In) const {
   if (In.Format.Name != Conv.Source.Name)
     return Status::error(
         ErrorCode::InvalidArgument,
@@ -844,6 +852,11 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
                  "opts, tensor.Dims)",
                  Conv.Source.Name.c_str(), Conv.Target.Name.c_str(), K + 1,
                  static_cast<long long>(codegen::rankDenseMaxBytes())));
+  return Status();
+}
+
+StatusOr<tensor::SparseTensor>
+JitConversion::tryRunShaped(const tensor::SparseTensor &In) const {
   Status Order = convert::checkSourceOrder(Conv, In);
   if (!Order.ok())
     return Order;

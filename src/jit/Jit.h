@@ -87,6 +87,9 @@ struct CTensor {
 /// phase, as before).
 constexpr int kNumPhases = 8;
 
+/// The `<fn>_phase_seconds` export: the calling thread's phase array.
+using PhaseAccessorFn = double *(*)();
+
 /// True if a working C compiler is available. Probed once per distinct
 /// CONVGEN_CC value (so tests can point CONVGEN_CC at a nonexistent binary
 /// and observe the no-compiler degradation in-process).
@@ -183,8 +186,22 @@ public:
   /// unsorted source where the plan requires order, dimensions this object
   /// was not compiled for) come back as a Status instead of aborting.
   /// Environment trouble never surfaces here — a degraded handle serves
-  /// through the interpreter, bit-exact.
+  /// through the interpreter, bit-exact. Exactly checkShape() followed by
+  /// tryRunShaped().
   StatusOr<tensor::SparseTensor> tryRun(const tensor::SparseTensor &In) const;
+
+  /// The shape half of tryRun's checks: \p In must be in this object's
+  /// source format, and its dimensions must not demand a sorted-ranking
+  /// level this object was compiled without (the size guard). Depends only
+  /// on the input's format name and dims (plus the strategy knobs), which
+  /// is what lets PlanCache::tryJitFor memoize a passed check per route.
+  Status checkShape(const tensor::SparseTensor &In) const;
+
+  /// tryRun for an input whose format name and dims already passed
+  /// checkShape() on this handle. Still validates the source's coordinate
+  /// order (which depends on the tensor's contents, not its shape).
+  StatusOr<tensor::SparseTensor>
+  tryRunShaped(const tensor::SparseTensor &In) const;
 
   /// Raw invocation for benchmarking: \p A must be marshalled with
   /// marshalInput; \p B receives malloc'd arrays that the caller releases
@@ -198,12 +215,16 @@ public:
   double compileSeconds() const { return CompileSecs; }
 
   /// Cumulative per-phase wall-clock seconds the routine recorded across
-  /// all runs (kNumPhases slots), or nullptr if the loaded object predates
-  /// phase timing. Benchmarks snapshot before/after a timing loop and
-  /// divide the delta by the rep count. The clock is thread-local inside
-  /// the routine, and this pointer was resolved on the loading thread —
-  /// read it from the same thread that runs the conversions.
-  const double *phaseSeconds() const { return PhaseSecs; }
+  /// the *calling thread's* runs (kNumPhases slots), or nullptr if the
+  /// loaded object predates phase timing. Benchmarks snapshot before/after
+  /// a timing loop and divide the delta by the rep count. The clock is
+  /// thread-local inside the routine; each call resolves the calling
+  /// thread's array, so any thread may read the phases of its own runs,
+  /// whichever thread loaded the handle. The pointer stays valid while the
+  /// calling thread lives.
+  const double *phaseSeconds() const {
+    return PhaseAccessor ? PhaseAccessor() : nullptr;
+  }
 
   const codegen::Conversion &conversion() const { return Conv; }
 
@@ -231,7 +252,8 @@ private:
   codegen::Conversion Conv;
   void *Handle = nullptr;
   void (*Fn)(const CTensor *, CTensor *) = nullptr;
-  double *PhaseSecs = nullptr;
+  /// The routine's `<fn>_phase_seconds` export (see phaseSeconds()).
+  PhaseAccessorFn PhaseAccessor = nullptr;
   std::string WorkDir;
   double CompileSecs = 0;
   bool FromCache = false;

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <sched.h>
 #include <thread>
 #include <utility>
 
@@ -38,11 +39,16 @@ static int64_t envInt(const char *Name, int64_t Default) {
 }
 
 ServiceLimits ServiceLimits::fromEnv() {
+  // The CPUs this process may run on, not the machine's: under an affinity
+  // mask (taskset, container cpusets) hardware_concurrency() overstates it.
   int Hw = static_cast<int>(std::thread::hardware_concurrency());
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    Hw = CPU_COUNT(&Set);
   if (Hw < 1)
     Hw = 1;
   ServiceLimits L;
-  // 2x the hardware threads: conversion is memory-bound enough that a
+  // 2x the usable threads: conversion is memory-bound enough that a
   // little oversubscription keeps cores busy across the marshal/compile
   // gaps without drowning the allocator.
   L.MaxInflight =
@@ -84,6 +90,22 @@ ConversionService &ConversionService::instance() {
   // destruction in exotic shutdown orders.
   static ConversionService *S = new ConversionService();
   return *S;
+}
+
+Deadline ConversionService::deadlineFor(const ConversionRequest &R) const {
+  int64_t Ms = R.DeadlineMs < 0 ? Limits.DefaultDeadlineMs : R.DeadlineMs;
+  return Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
+}
+
+Status ConversionService::deadlineExpired(const ConversionRequest &R,
+                                          const char *Where) {
+  Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
+  DegradationLog::instance().record(
+      Degradation::DeadlineExceeded,
+      strfmt("%s -> %s: %s", R.Source.Name.c_str(), R.Target.Name.c_str(),
+             Where));
+  return Status::error(ErrorCode::DeadlineExceeded,
+                       strfmt("service: request deadline expired %s", Where));
 }
 
 Status ConversionService::admit(const Deadline &D) {
@@ -214,30 +236,14 @@ ConversionService::convert(const ConversionRequest &Request) {
     return Status::error(ErrorCode::InvalidArgument,
                          "service: request carries no input tensor");
   }
-  int64_t Ms = Request.DeadlineMs < 0 ? Limits.DefaultDeadlineMs
-                                      : Request.DeadlineMs;
-  Deadline D = Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
+  Deadline D = deadlineFor(Request);
 
   Status Admitted = admit(D);
   if (!Admitted.ok())
     return Admitted; // Shed / queue-deadline counters recorded in admit().
-  struct SlotReleaser {
-    ConversionService *S;
-    ~SlotReleaser() { S->release(); }
-  } Releaser{this};
-
-  auto deadlineExpired = [&](const char *Where) {
-    Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        strfmt("%s -> %s: %s", Request.Source.Name.c_str(),
-               Request.Target.Name.c_str(), Where));
-    return Status::error(
-        ErrorCode::DeadlineExceeded,
-        strfmt("service: request deadline expired %s", Where));
-  };
+  SlotReleaser Releaser{this};
   if (D.expired())
-    return deadlineExpired("entering execution");
+    return deadlineExpired(Request, "entering execution");
 
   if (Request.ForceInterpreter) {
     // Oracle traffic: the Converter routes dims-specialized plans itself
@@ -308,29 +314,36 @@ ConversionService::convert(const ConversionRequest &Request) {
       return Out;
     }
   }
-  // Route to the dims-specialized plan up front (a JIT handle compiled
-  // with dense ranking rejects huge-dims tensors; see Jit.h), so the
-  // shared cache is keyed the same way the Converter would key it.
-  codegen::Options Opts = codegen::optionsForDims(
-      Request.Source, Request.Target, Request.Opts, Request.Input->Dims);
-  StatusOr<std::shared_ptr<jit::JitConversion>> Handle =
-      PlanCache::instance().tryJit(Request.Source, Request.Target, Opts, "",
-                                   D);
-  if (!Handle.ok()) {
-    if (Handle.status().code() == ErrorCode::DeadlineExceeded)
-      Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    else
-      Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-    return Handle.status();
+  std::shared_ptr<jit::JitConversion> Handle;
+  return runDirect(Request, D, D, Handle);
+}
+
+StatusOr<tensor::SparseTensor>
+ConversionService::runDirect(const ConversionRequest &Request,
+                             const Deadline &D, const Deadline &AcquireD,
+                             std::shared_ptr<jit::JitConversion> &Handle) {
+  if (!Handle) {
+    StatusOr<std::shared_ptr<jit::JitConversion>> H =
+        PlanCache::instance().tryJitFor(Request.Source, Request.Target,
+                                        Request.Opts, *Request.Input, "",
+                                        AcquireD);
+    if (!H.ok()) {
+      if (H.status().code() == ErrorCode::DeadlineExceeded)
+        Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
+      else
+        Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
+      return H.status();
+    }
+    Handle = H.take();
   }
   if (D.expired())
-    return deadlineExpired("after plan/JIT acquisition");
-  StatusOr<tensor::SparseTensor> Out = (*Handle)->tryRun(*Request.Input);
+    return deadlineExpired(Request, "after plan/JIT acquisition");
+  StatusOr<tensor::SparseTensor> Out = Handle->tryRunShaped(*Request.Input);
   if (!Out.ok()) {
     Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
     return Out;
   }
-  if ((*Handle)->degraded())
+  if (Handle->degraded())
     Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
   Counts.Completed.fetch_add(1, std::memory_order_relaxed);
   return Out;
@@ -348,17 +361,16 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
   B.Requests = Requests.size();
 
   // Batches bypass the path planner deliberately: grouping exists to
-  // amortize one handle acquisition across same-plan members, and
+  // amortize one handle acquisition across same-route members, and
   // per-member planner decisions would fragment the groups (and the
   // outcome records) it amortizes over. Callers wanting planned execution
   // submit individually.
   //
-  // Group member indices by plan key, first-appearance order. The key is
-  // the dims-routed one (optionsForDims), exactly as convert() would key
-  // the cache — two tensors whose dims land on the same assembly strategy
-  // share one group and one handle. ForceInterpreter and null-input
-  // requests cannot share a native handle; each is its own singleton
-  // group, executed through convert().
+  // Group member indices by route key, first-appearance order: the key
+  // convert() memoizes its handle under, so a group's one tryJitFor shape
+  // check covers every member. ForceInterpreter and null-input requests
+  // cannot share a native handle; each is its own singleton group,
+  // executed through convert().
   std::vector<std::pair<std::string, std::vector<size_t>>> Groups;
   std::map<std::string, size_t> GroupIndex;
   for (size_t I = 0; I < Requests.size(); ++I) {
@@ -367,9 +379,8 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
       Groups.push_back({"", {I}});
       continue;
     }
-    codegen::Options Opts = codegen::optionsForDims(R.Source, R.Target,
-                                                    R.Opts, R.Input->Dims);
-    std::string Key = planKey(R.Source, R.Target, Opts);
+    std::string Key = routeKey(R.Source, R.Target, R.Opts,
+                               R.Input->Format.Name, R.Input->Dims, "");
     auto [It, New] = GroupIndex.emplace(Key, Groups.size());
     if (New)
       Groups.push_back({Key, {}});
@@ -382,18 +393,17 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
   // whole stay in the batch, including the members ahead of it in FIFO
   // order (that wait is exactly what the deadline is for).
   std::vector<Deadline> Deadlines(Requests.size());
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    int64_t Ms = Requests[I].DeadlineMs < 0 ? Limits.DefaultDeadlineMs
-                                            : Requests[I].DeadlineMs;
-    Deadlines[I] = Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
-  }
+  for (size_t I = 0; I < Requests.size(); ++I)
+    Deadlines[I] = deadlineFor(Requests[I]);
 
   std::vector<std::optional<StatusOr<tensor::SparseTensor>>> Results(
       Requests.size());
-  auto NoteFailure = [&B](const Status &S) {
-    if (S.code() == ErrorCode::ResourceExhausted)
+  auto NoteOutcome = [&B](const StatusOr<tensor::SparseTensor> &Out) {
+    if (Out.ok())
+      B.Completed++;
+    else if (Out.status().code() == ErrorCode::ResourceExhausted)
       B.Shed++;
-    else if (S.code() == ErrorCode::DeadlineExceeded)
+    else if (Out.status().code() == ErrorCode::DeadlineExceeded)
       B.DeadlineExpired++;
     else
       B.RequestErrors++;
@@ -404,12 +414,8 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
       // Singleton: convert() does all the accounting; mirror the outcome
       // into the batch breakout.
       size_t Idx = Members.front();
-      StatusOr<tensor::SparseTensor> Out = convert(Requests[Idx]);
-      if (Out.ok())
-        B.Completed++;
-      else
-        NoteFailure(Out.status());
-      Results[Idx] = std::move(Out);
+      Results[Idx] = convert(Requests[Idx]);
+      NoteOutcome(*Results[Idx]);
       continue;
     }
 
@@ -436,66 +442,21 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
       if (!Admitted.ok()) {
         // Shed / queue-deadline service counters recorded in admit(); the
         // member fails alone, the batch continues.
-        NoteFailure(Admitted);
         Results[Idx] = Admitted;
+        NoteOutcome(*Results[Idx]);
         continue;
       }
-      struct SlotReleaser {
-        ConversionService *S;
-        ~SlotReleaser() { S->release(); }
-      } Releaser{this};
-
-      auto deadlineExpired = [&](const char *Where) {
-        Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-        B.DeadlineExpired++;
-        DegradationLog::instance().record(
-            Degradation::DeadlineExceeded,
-            strfmt("%s -> %s: %s (batch member)", R.Source.Name.c_str(),
-                   R.Target.Name.c_str(), Where));
-        return Status::error(
-            ErrorCode::DeadlineExceeded,
-            strfmt("service: request deadline expired %s", Where));
-      };
-      if (D.expired()) {
-        Results[Idx] = deadlineExpired("entering execution");
-        continue;
-      }
-      if (!Handle) {
-        codegen::Options Opts = codegen::optionsForDims(
-            R.Source, R.Target, R.Opts, R.Input->Dims);
-        StatusOr<std::shared_ptr<jit::JitConversion>> H =
-            PlanCache::instance().tryJit(R.Source, R.Target, Opts, "",
-                                         GroupD);
-        if (!H.ok()) {
-          if (H.status().code() == ErrorCode::DeadlineExceeded)
-            Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-          else
-            Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-          NoteFailure(H.status());
-          Results[Idx] = H.status();
-          continue; // The next member retries the acquisition.
-        }
-        Handle = *H;
+      SlotReleaser Releaser{this};
+      bool Acquiring = !Handle;
+      // A failed acquisition leaves Handle empty, so the next member
+      // retries it.
+      Results[Idx] = D.expired() ? deadlineExpired(R, "entering execution")
+                                 : runDirect(R, D, GroupD, Handle);
+      if (Acquiring && Handle)
         B.HandleAcquisitions++;
-      }
-      if (D.expired()) {
-        Results[Idx] = deadlineExpired("after plan/JIT acquisition");
-        continue;
-      }
-      StatusOr<tensor::SparseTensor> Out = Handle->tryRun(*R.Input);
-      if (!Out.ok()) {
-        Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-        NoteFailure(Out.status());
-        Results[Idx] = std::move(Out);
-        continue;
-      }
-      if (Handle->degraded()) {
-        Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
+      NoteOutcome(*Results[Idx]);
+      if (Results[Idx]->ok() && Handle->degraded())
         B.DegradedRuns++;
-      }
-      Counts.Completed.fetch_add(1, std::memory_order_relaxed);
-      B.Completed++;
-      Results[Idx] = std::move(Out);
     }
   }
 
@@ -525,10 +486,10 @@ ConversionService::submit(ConversionRequest Request) {
   }
   std::thread([this, Task] {
     (*Task)();
-    {
-      std::lock_guard<std::mutex> Lock(AsyncMu);
-      --AsyncOutstanding;
-    }
+    // Notify under the lock: once it is released, the destructor may
+    // return and destroy the condition variable.
+    std::lock_guard<std::mutex> Lock(AsyncMu);
+    --AsyncOutstanding;
     AsyncDrained.notify_all();
   }).detach();
   return Fut;

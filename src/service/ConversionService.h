@@ -27,9 +27,9 @@
 ///    DegradationLog and the service's own stats — the export surface the
 ///    throughput bench and a future metrics endpoint read.
 ///
-/// Beyond per-request convert(), the service offers submitBatch() — plan-
-/// key-grouped execution where one JIT-handle acquisition serves a queue
-/// of same-plan tensors — and an async submit() returning a future, both
+/// Beyond per-request convert(), the service offers submitBatch() — route-
+/// grouped execution where one JIT-handle acquisition serves a queue of
+/// same-route tensors — and an async submit() returning a future, both
 /// composing with the same admission/shedding/deadline discipline.
 /// Construction also triggers the cache warm-start hook
 /// (PlanCache::maybePreloadFromEnv), so a restarted server's first
@@ -37,7 +37,7 @@
 ///
 /// Environment knobs (read once at construction; see ServiceLimits):
 ///   CONVGEN_MAX_INFLIGHT        concurrent request cap (default 2x the
-///                               hardware thread count)
+///                               CPUs in the process's affinity mask)
 ///   CONVGEN_QUEUE_DEPTH         waiters admitted beyond the cap before
 ///                               shedding (default 2x MaxInflight)
 ///   CONVGEN_DEFAULT_DEADLINE_MS deadline applied to requests that do not
@@ -65,6 +65,10 @@
 #include <vector>
 
 namespace convgen {
+namespace jit {
+class JitConversion;
+} // namespace jit
+
 namespace convert {
 
 /// Admission-control configuration, fixed for the service's lifetime
@@ -106,7 +110,7 @@ struct ServiceStats {
   uint64_t Batches = 0;
   /// Requests that arrived inside a batch (also counted in Submitted).
   uint64_t BatchRequests = 0;
-  /// Distinct plan-key groups across all batches.
+  /// Distinct route groups across all batches.
   uint64_t BatchGroups = 0;
   /// submit() futures handed out (their requests also count in Submitted
   /// when the worker runs them).
@@ -129,7 +133,7 @@ struct ServiceStats {
 /// traversal the grouping actually saved, and where each member ended up.
 struct BatchStats {
   uint64_t Requests = 0;
-  /// Distinct plan-key groups (ForceInterpreter and invalid requests run
+  /// Distinct route groups (ForceInterpreter and invalid requests run
   /// ungrouped and count one group each).
   uint64_t Groups = 0;
   /// JIT-handle acquisitions performed — at most one per group; fewer when
@@ -180,10 +184,12 @@ public:
   /// request completes through the interpreter, bit-exact.
   StatusOr<tensor::SparseTensor> convert(const ConversionRequest &Request);
 
-  /// Executes a batch of requests, grouped by plan key so one JIT-handle
-  /// acquisition serves every member of a group (single-flight already
-  /// dedups *compiles*; grouping dedups the per-request cache traversal
-  /// and the coalesced-flight waits). Results come back positionally —
+  /// Executes a batch of requests, grouped by route (PlanCache::routeKey:
+  /// pair, options, input format and dims) so one JIT-handle acquisition
+  /// through PlanCache::tryJitFor — the path convert() takes — serves
+  /// every member of a group (single-flight already dedups *compiles*;
+  /// grouping dedups the per-request route lookup and the coalesced-flight
+  /// waits). Results come back positionally —
   /// Results[i] is Requests[i]'s outcome, same Status taxonomy as
   /// convert(). Semantics:
   ///
@@ -225,6 +231,26 @@ private:
   /// Blocks until a slot frees (bounded by \p Deadline) or sheds.
   Status admit(const support::Deadline &Deadline);
   void release();
+  /// Releases an admitted request's slot on scope exit.
+  struct SlotReleaser {
+    ConversionService *S;
+    ~SlotReleaser() { S->release(); }
+  };
+
+  /// \p R's deadline: its own, else the service default, from now.
+  support::Deadline deadlineFor(const ConversionRequest &R) const;
+  /// Counts and logs a deadline that expired at \p Where.
+  Status deadlineExpired(const ConversionRequest &R, const char *Where);
+
+  /// The direct native path of convert() and of every grouped
+  /// submitBatch() member: acquires \p R's route through
+  /// PlanCache::tryJitFor (bounded by \p AcquireD) unless \p Handle already
+  /// holds one for the same route, re-checks \p D, runs, and counts the
+  /// outcome. A failed acquisition leaves \p Handle empty.
+  StatusOr<tensor::SparseTensor>
+  runDirect(const ConversionRequest &R, const support::Deadline &D,
+            const support::Deadline &AcquireD,
+            std::shared_ptr<jit::JitConversion> &Handle);
 
   ServiceLimits Limits;
 

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+
 using namespace convgen;
 
 // Most of this suite verifies *behavior* (bit-exactness with the
@@ -190,6 +193,36 @@ TEST(Jit, PhaseSecondsAccumulate) {
     EXPECT_GE(Native.phaseSeconds()[P], Before[static_cast<size_t>(P)]) << P;
     Delta += Native.phaseSeconds()[P] - Before[static_cast<size_t>(P)];
   }
+  EXPECT_GT(Delta, 0.0);
+}
+
+TEST(Jit, PhaseSecondsAreReadOnTheRunningThreadAfterTheLoaderExits) {
+  // A shared handle is loaded by whichever thread missed first (the
+  // single-flight leader, the preload warmer), and that thread may be gone
+  // before anyone reads the phase clocks. The reader must see its own
+  // runs' phases.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  SKIP_UNDER_FAULT_INJECTION();
+  tensor::Triplets T = tensor::genBandedRandom(80, 80, 6.0, 15, 3, 17);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCSR(), T);
+  convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
+  std::unique_ptr<jit::JitConversion> Native;
+  std::thread Loader(
+      [&] { Native = std::make_unique<jit::JitConversion>(Conv.conversion()); });
+  Loader.join();
+  ASSERT_FALSE(Native->degraded()) << Native->degradationReason();
+  double Delta = 0;
+  std::thread Runner([&] {
+    const double *P = Native->phaseSeconds();
+    ASSERT_NE(P, nullptr);
+    std::vector<double> Before(P, P + jit::kNumPhases);
+    Native->run(In).validate();
+    for (int K = 0; K < jit::kNumPhases; ++K)
+      Delta += Native->phaseSeconds()[K] - Before[static_cast<size_t>(K)];
+  });
+  Runner.join();
   EXPECT_GT(Delta, 0.0);
 }
 

@@ -3,7 +3,9 @@
 // the same pair must not re-run codegen), JIT handle sharing (at most one
 // external-compiler invocation per triple and process), and the on-disk
 // shared-object cache (a "new process", simulated by clearing the in-memory
-// cache, skips the external compiler entirely).
+// cache, skips the external compiler entirely), and the warm-request route
+// memo (tryJitFor: bit-exact hits, dims routing, per-request checks, knob
+// and clearMemory invalidation, its cap, and the completeness of its key).
 //===----------------------------------------------------------------------===//
 
 #include "convert/Converter.h"
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <unistd.h>
 
 using namespace convgen;
@@ -213,4 +216,269 @@ TEST(PlanCacheJit, KnobFlipCompilesAFreshObjectNotAStaleOne) {
   EXPECT_NE(Hashed.get(), Default.get());
   EXPECT_NE(Hashed->conversion().cSource().find("cvg_hash_distinct(B"),
             std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The warm-request route memo (PlanCache::tryJitFor).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A lower-triangular 8x8 matrix (valid for every order-2 format, skyline
+/// included) with exact integer values.
+tensor::Triplets lowerTriangular() {
+  tensor::Triplets T;
+  T.setDims({8, 8});
+  int V = 1;
+  for (int64_t I = 0; I < 8; ++I)
+    for (int64_t J = 0; J <= I; J += (I % 3) + 1)
+      T.Entries.push_back(tensor::Entry({I, J}, static_cast<double>(V++)));
+  return T;
+}
+
+tensor::Triplets smallTensor3() {
+  tensor::Triplets T;
+  T.setDims({4, 5, 3});
+  int V = 1;
+  for (int64_t I = 0; I < 4; ++I)
+    for (int64_t J = I % 3; J < 5; J += 2)
+      T.Entries.push_back(
+          tensor::Entry({I, J, (I + J) % 3}, static_cast<double>(V++)));
+  return T;
+}
+
+void expectBitIdentical(const tensor::SparseTensor &Want,
+                        const tensor::SparseTensor &Got,
+                        const std::string &What) {
+  ASSERT_EQ(Want.Levels.size(), Got.Levels.size()) << What;
+  for (size_t K = 0; K < Want.Levels.size(); ++K) {
+    EXPECT_EQ(Want.Levels[K].Pos, Got.Levels[K].Pos) << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].Crd, Got.Levels[K].Crd) << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].Perm, Got.Levels[K].Perm)
+        << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].SizeParam, Got.Levels[K].SizeParam)
+        << What << ", level " << K;
+  }
+  EXPECT_EQ(Want.Vals, Got.Vals) << What;
+}
+
+/// tryJitFor + tryRunShaped, the service's direct native path.
+StatusOr<tensor::SparseTensor> convertViaRoute(const formats::Format &Src,
+                                               const formats::Format &Dst,
+                                               const tensor::SparseTensor &In) {
+  StatusOr<std::shared_ptr<jit::JitConversion>> H =
+      PlanCache::instance().tryJitFor(Src, Dst, codegen::Options(), In);
+  if (!H.ok())
+    return H.status();
+  return (*H)->tryRunShaped(In);
+}
+
+} // namespace
+
+TEST(RouteMemo, HitIsBitIdenticalToTheInterpreterForEveryPair) {
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  std::vector<std::pair<formats::Format, tensor::Triplets>> Sources;
+  for (const formats::Format &F : formats::allStandardFormats())
+    Sources.push_back({F, lowerTriangular()});
+  for (const formats::Format &F : formats::standardOrder3Formats())
+    Sources.push_back({F, smallTensor3()});
+  for (const auto &[Src, T] : Sources)
+    for (const auto &Target : Sources) {
+      const formats::Format &Dst = Target.first;
+      if (Src.SrcOrder != Dst.SrcOrder ||
+          !codegen::conversionSupported(Src, Dst))
+        continue;
+      std::string What = Src.Name + " -> " + Dst.Name;
+      tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+      tensor::SparseTensor Want = convert::Converter(Src, Dst).run(In);
+      StatusOr<tensor::SparseTensor> Cold = convertViaRoute(Src, Dst, In);
+      ASSERT_TRUE(Cold.ok()) << What << ": " << Cold.status().toString();
+      PlanCacheStats Before = Cache.stats();
+      StatusOr<tensor::SparseTensor> Warm = convertViaRoute(Src, Dst, In);
+      PlanCacheStats After = Cache.stats();
+      ASSERT_TRUE(Warm.ok()) << What << ": " << Warm.status().toString();
+      // The second request is a memo hit, counted as a JIT hit.
+      EXPECT_EQ(After.JitHits - Before.JitHits, 1u) << What;
+      EXPECT_EQ(After.JitMisses, Before.JitMisses) << What;
+      expectBitIdentical(Want, *Cold, What + " (miss)");
+      expectBitIdentical(Want, *Warm, What + " (hit)");
+    }
+}
+
+TEST(RouteMemo, HugeDimsAfterSmallDimsGetTheDimsSpecializedHandle) {
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor Small =
+      tensor::buildFromTriplets(Coo3, smallTensor3());
+  tensor::SparseTensor Huge = tensor::buildFromTriplets(
+      Coo3, tensor::genHyperSparse3(int64_t(1) << 31, int64_t(1) << 20,
+                                    int64_t(1) << 20, 50, 5));
+  auto SmallH = Cache.tryJitFor(Coo3, Csf, codegen::Options(), Small);
+  ASSERT_TRUE(SmallH.ok()) << SmallH.status().toString();
+  EXPECT_FALSE((*SmallH)->conversion().Asm.anySorted());
+  for (int Rep = 0; Rep < 2; ++Rep) { // a miss, then a memo hit
+    auto HugeH = Cache.tryJitFor(Coo3, Csf, codegen::Options(), Huge);
+    ASSERT_TRUE(HugeH.ok()) << HugeH.status().toString();
+    EXPECT_NE(HugeH->get(), SmallH->get());
+    EXPECT_TRUE((*HugeH)->conversion().Asm.anySorted());
+    EXPECT_FALSE((*HugeH)->conversion().Opts.DimsHint.empty());
+    StatusOr<tensor::SparseTensor> Out = (*HugeH)->tryRunShaped(Huge);
+    ASSERT_TRUE(Out.ok()) << Out.status().toString();
+    expectBitIdentical(convert::Converter(Coo3, Csf).run(Huge), *Out,
+                       "hypersparse coo3 -> csf");
+  }
+}
+
+TEST(RouteMemo, HitStillRejectsWrongFormatAndUnsortedSources) {
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  formats::Format Coo = formats::makeCOO();
+  formats::Format Bcsr = formats::makeBCSR(4, 4);
+  tensor::Triplets T = tensor::genBandedRandom(40, 40, 4.0, 9, 5, 21);
+  tensor::SparseTensor Sorted = tensor::buildFromTriplets(Coo, T);
+  ASSERT_TRUE(convertViaRoute(Coo, Bcsr, Sorted).ok());
+  size_t Routes = Cache.routeCount();
+
+  // A csr tensor on the coo -> bcsr route fails the shape check, and a
+  // failed check is never memoized.
+  tensor::SparseTensor Csr = tensor::buildFromTriplets(formats::makeCSR(), T);
+  StatusOr<tensor::SparseTensor> Wrong = convertViaRoute(Coo, Bcsr, Csr);
+  ASSERT_FALSE(Wrong.ok());
+  EXPECT_EQ(Wrong.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_EQ(Cache.routeCount(), Routes);
+
+  // Column-major coo has the warmed route's format and dims, so it hits
+  // the memo; the per-request source-order check still rejects it.
+  tensor::SparseTensor ColMajor =
+      convert::Converter(formats::makeCSC(), Coo)
+          .run(tensor::buildFromTriplets(formats::makeCSC(), T));
+  ASSERT_FALSE(ColMajor.lexOrderedUpTo(1));
+  PlanCacheStats Before = Cache.stats();
+  StatusOr<tensor::SparseTensor> Unsorted =
+      convertViaRoute(Coo, Bcsr, ColMajor);
+  EXPECT_EQ(Cache.stats().JitHits - Before.JitHits, 1u);
+  ASSERT_FALSE(Unsorted.ok());
+  EXPECT_EQ(Unsorted.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Unsorted.status().message().find("lexicographically sorted"),
+            std::string::npos)
+      << Unsorted.status().message();
+}
+
+TEST(RouteMemo, ClearMemoryAndKnobReloadReRoute) {
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, smallTensor3());
+  tensor::SparseTensor Want = convert::Converter(Coo3, Csf).run(In);
+  auto Dense = Cache.tryJitFor(Coo3, Csf, codegen::Options(), In);
+  ASSERT_TRUE(Dense.ok()) << Dense.status().toString();
+  EXPECT_FALSE((*Dense)->conversion().Asm.anySorted());
+  {
+    // A one-byte dense-ranking budget moves these dims onto sorted
+    // ranking: the memoized route must not outlive the knob snapshot.
+    ScopedEnv Budget("CONVGEN_RANK_DENSE_MAX_BYTES", "1");
+    auto Sorted = Cache.tryJitFor(Coo3, Csf, codegen::Options(), In);
+    ASSERT_TRUE(Sorted.ok()) << Sorted.status().toString();
+    EXPECT_NE(Sorted->get(), Dense->get());
+    EXPECT_TRUE((*Sorted)->conversion().Asm.anySorted());
+    StatusOr<tensor::SparseTensor> Out = (*Sorted)->tryRunShaped(In);
+    ASSERT_TRUE(Out.ok()) << Out.status().toString();
+    expectBitIdentical(Want, *Out, "coo3 -> csf under a 1-byte budget");
+  }
+  // The budget is back to its default, and so is the route.
+  auto Back = Cache.tryJitFor(Coo3, Csf, codegen::Options(), In);
+  ASSERT_TRUE(Back.ok()) << Back.status().toString();
+  EXPECT_EQ(Back->get(), Dense->get());
+
+  Cache.clearMemory();
+  EXPECT_EQ(Cache.routeCount(), 0u);
+  PlanCacheStats Before = Cache.stats();
+  auto Fresh = Cache.tryJitFor(Coo3, Csf, codegen::Options(), In);
+  ASSERT_TRUE(Fresh.ok()) << Fresh.status().toString();
+  EXPECT_EQ(Cache.stats().JitMisses - Before.JitMisses, 1u);
+  EXPECT_NE(Fresh->get(), Dense->get());
+  EXPECT_EQ(Cache.routeCount(), 1u);
+}
+
+TEST(RouteMemo, StaysWithinItsCapUnderManyDistinctDims) {
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  formats::Format Coo = formats::makeCOO();
+  formats::Format Csr = formats::makeCSR();
+  std::shared_ptr<jit::JitConversion> First;
+  for (int64_t I = 0; I < int64_t(PlanCache::kMaxRoutes) + 300; ++I) {
+    tensor::Triplets T;
+    T.setDims({2 + I, 3});
+    T.Entries.push_back(tensor::Entry({1, 2}, 1.0));
+    tensor::SparseTensor In = tensor::buildFromTriplets(Coo, T);
+    auto H = Cache.tryJitFor(Coo, Csr, codegen::Options(), In);
+    ASSERT_TRUE(H.ok()) << H.status().toString();
+    // Small dims share the pair's default plan: one handle throughout.
+    if (!First)
+      First = *H;
+    EXPECT_EQ(H->get(), First.get());
+    ASSERT_LE(Cache.routeCount(), PlanCache::kMaxRoutes);
+  }
+  EXPECT_GT(Cache.routeCount(), PlanCache::kMaxRoutes / 2);
+}
+
+TEST(RouteKey, EveryInputChangesTheKey) {
+  // The memo serves a handle whose shape check passed for the key's
+  // inputs, so every input that can change the route or the check must
+  // change the key. Perturb each one alone; every key must be distinct.
+  formats::Format Coo = formats::makeCOO(), Csr = formats::makeCSR();
+  std::vector<std::string> Keys;
+  auto key = [&](const codegen::Options &O,
+                 const std::vector<int64_t> &Dims = {6, 6},
+                 const std::string &In = "coo",
+                 const std::string &Flags = "",
+                 const formats::Format *Src = nullptr,
+                 const formats::Format *Dst = nullptr) {
+    Keys.push_back(convert::routeKey(Src ? *Src : Coo, Dst ? *Dst : Csr, O,
+                                     In, Dims, Flags));
+  };
+  codegen::Options Base;
+  key(Base);
+  auto perturbed = [&](auto Mutate) {
+    codegen::Options O;
+    Mutate(O);
+    key(O);
+  };
+  perturbed([](codegen::Options &O) { O.OptimizeQueries = false; });
+  perturbed([](codegen::Options &O) { O.CounterReuse = false; });
+  perturbed([](codegen::Options &O) { O.ForceUnseqEdges = true; });
+  perturbed([](codegen::Options &O) { O.MaterializeRemap = true; });
+  perturbed([](codegen::Options &O) { O.DimsHint = {6, 6}; });
+  perturbed([](codegen::Options &O) { O.DimsHint = {66}; });
+  perturbed([](codegen::Options &O) {
+    O.ForceRank = codegen::RankStrategy::Sorted;
+  });
+  perturbed([](codegen::Options &O) {
+    O.ForceRank = codegen::RankStrategy::Hashed;
+  });
+  perturbed([](codegen::Options &O) {
+    O.ForceSort = codegen::SortStrategy::Merge;
+  });
+  perturbed([](codegen::Options &O) {
+    O.ForceSort = codegen::SortStrategy::Radix;
+  });
+  perturbed([](codegen::Options &O) { O.ForceNoSharedSort = true; });
+  perturbed([](codegen::Options &O) { O.ForceSortedRanking = true; });
+  key(Base, {6, 7});
+  key(Base, {66});
+  key(Base, {6, 6, 1});
+  key(Base, {6, 6}, "csr");
+  key(Base, {6, 6}, "coo> h");
+  key(Base, {6, 6}, "coo", "-O2");
+  formats::Format Csc = formats::makeCSC();
+  key(Base, {6, 6}, "coo", "", &Csc);
+  key(Base, {6, 6}, "coo", "", nullptr, &Csc);
+  std::set<std::string> Distinct(Keys.begin(), Keys.end());
+  EXPECT_EQ(Distinct.size(), Keys.size());
+  // And the key is a function of its inputs alone.
+  EXPECT_EQ(convert::routeKey(Coo, Csr, Base, "coo", {6, 6}, ""), Keys[0]);
 }

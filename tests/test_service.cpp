@@ -32,7 +32,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <sched.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -643,6 +645,61 @@ TEST(Service, ConcurrentMixedRequestsMatchTheSerialOracle) {
   EXPECT_EQ(S.DeadlineExpired, 0u);
 }
 
+TEST(Service, ManyThreadsOnOneRouteShareOneMemoizedHandle) {
+  // The warm path's shared state is the route memo: N threads resolving
+  // one route must compile once, hit the memo every other time, and
+  // convert bit-exactly (the TSan leg checks the memo's locking). The
+  // memo serves the direct path, so the planner stays out of it even in
+  // the CONVGEN_PLANNER_MIN_NNZ=1 ablation.
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv Direct("CONVGEN_PLANNER", "off");
+  WorkItem W = makeItem("coo3", "csf", smallTensor3());
+  resetBooks();
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 8;
+  Limits.QueueDepth = 64;
+  ConversionService Service(Limits);
+
+  const int Threads = 8;
+  const int PerThread = 25;
+  PlanCacheStats Before = PlanCache::instance().stats();
+  StartGate Gate;
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T) {
+    Pool.emplace_back([&] {
+      Gate.wait();
+      for (int I = 0; I < PerThread; ++I) {
+        ConversionRequest R;
+        R.Source = W.Src;
+        R.Target = W.Dst;
+        R.Input = &W.In;
+        StatusOr<tensor::SparseTensor> Out = Service.convert(R);
+        ASSERT_TRUE(Out.ok()) << Out.status().toString();
+        expectBitIdentical(W.Want, *Out, W.Label);
+      }
+    });
+  }
+  Gate.open();
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  PlanCacheStats After = PlanCache::instance().stats();
+  uint64_t Calls = uint64_t(Threads) * PerThread;
+  EXPECT_EQ(After.JitMisses - Before.JitMisses, 1u);
+  EXPECT_EQ(After.JitHits - Before.JitHits, Calls - 1);
+  EXPECT_EQ(PlanCache::instance().routeCount(), 1u);
+  EXPECT_EQ(Service.stats().Completed, Calls);
+}
+
+TEST(Service, DefaultInflightCapFollowsTheAffinityMask) {
+  if (std::getenv("CONVGEN_MAX_INFLIGHT"))
+    GTEST_SKIP() << "CONVGEN_MAX_INFLIGHT overrides the default";
+  cpu_set_t Set;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Set), &Set), 0);
+  EXPECT_EQ(ServiceLimits::fromEnv().MaxInflight, 2 * CPU_COUNT(&Set));
+}
+
 TEST(Service, DefaultDeadlineFromLimitsApplies) {
   if (!jit::jitAvailable())
     GTEST_SKIP() << "no C compiler; the compile path is never reached";
@@ -685,10 +742,10 @@ TEST(Service, DefaultDeadlineFromLimitsApplies) {
 }
 
 //===------------------------------------------------------------------===//
-// submitBatch: plan-key grouping, per-member admission and deadlines.
+// submitBatch: route grouping, per-member admission and deadlines.
 //===------------------------------------------------------------------===//
 
-TEST(Batch, GroupsByPlanKeyAndAcquiresOneHandlePerGroup) {
+TEST(Batch, GroupsByRouteAndAcquiresOneHandlePerGroup) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
 
   WorkItem A1 = makeItem("coo", "csr", smallMatrix());
@@ -702,8 +759,10 @@ TEST(Batch, GroupsByPlanKeyAndAcquiresOneHandlePerGroup) {
   Limits.MaxInflight = 4;
   ConversionService Service(Limits);
 
-  // Five members, three plan keys: both coo->csr tensors (and the repeat)
-  // share one group and one handle acquisition.
+  // Five members, three plan keys, four routes: the repeated coo->csr
+  // tensor shares its group and handle acquisition; the other coo->csr
+  // tensor has other dims, so it is its own route (and group) on the same
+  // compiled handle.
   std::vector<const WorkItem *> Order = {&A1, &B, &A2, &C, &A1};
   std::vector<ConversionRequest> Requests;
   for (const WorkItem *W : Order) {
@@ -726,24 +785,25 @@ TEST(Batch, GroupsByPlanKeyAndAcquiresOneHandlePerGroup) {
     expectBitIdentical(Order[I]->Want, *Results[I], Order[I]->Label);
   }
   EXPECT_EQ(BS.Requests, Requests.size());
-  EXPECT_EQ(BS.Groups, 3u);
-  EXPECT_EQ(BS.HandleAcquisitions, 3u);
+  EXPECT_EQ(BS.Groups, 4u);
+  EXPECT_EQ(BS.HandleAcquisitions, 4u);
   EXPECT_EQ(BS.Completed, Requests.size());
   EXPECT_EQ(BS.Shed + BS.DeadlineExpired + BS.RequestErrors, 0u);
 
   // The grouping's whole point: one cache traversal per group, zero for
   // the other members (single-flight would at best have made them
-  // coalesced hits; the batch skips the traversal entirely).
+  // coalesced hits; the batch skips the traversal entirely). One compile
+  // per plan key; the second coo->csr route hits the first one's handle.
   PlanCacheStats After = PlanCache::instance().stats();
   EXPECT_EQ(After.JitMisses - Before.JitMisses, 3u);
-  EXPECT_EQ(After.JitHits - Before.JitHits, 0u);
+  EXPECT_EQ(After.JitHits - Before.JitHits, 1u);
 
   convert::ServiceStats S = Service.stats();
   EXPECT_EQ(S.Submitted, Requests.size());
   EXPECT_EQ(S.Completed, Requests.size());
   EXPECT_EQ(S.Batches, 1u);
   EXPECT_EQ(S.BatchRequests, Requests.size());
-  EXPECT_EQ(S.BatchGroups, 3u);
+  EXPECT_EQ(S.BatchGroups, 4u);
 }
 
 TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
