@@ -35,6 +35,17 @@
 // strategy win is attributable to the sort phase, not smeared over the
 // whole conversion.
 //
+// A third leg prices the ordered lead (the planner's count of leading
+// tuple components the source order leaves unsorted) against the full
+// sort every plan ran before it, on one routine whose sort statements are
+// rewritten to lead = arity: csf -> csf_102 at the huge dims (the source
+// is ordered except for the new leading mode, lead 1), and coo3 -> csf on
+// a shuffled COO (lead 0's check fails, so the ratio is the fallback's
+// price: the wasted O(nnz) verification). Both run as interleaved pairs
+// with median-of-ratio speedups. The rank payload is on in both variants,
+// so this leg isolates the lead; the searches it replaced are gone from
+// both.
+//
 // Emits a human-readable table and machine-readable BENCH_hypersparse.json
 // (speedup columns included). Environment: CONVGEN_BENCH_SCALE /
 // CONVGEN_BENCH_REPS as usual; scale 1.0 runs the full 10^6-nonzero point
@@ -45,12 +56,15 @@
 #include "Common.h"
 
 #include "codegen/Knobs.h"
+#include "ir/IR.h"
 #include "support/StringUtils.h"
 #include "tensor/Generators.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -156,26 +170,18 @@ double runVariantRow(const Variant &V, const std::vector<int64_t> &Dims,
   return S.MedianSeconds;
 }
 
-/// Times two variants of the same conversion in interleaved pairs: every
-/// rep runs variant A then variant B back-to-back on the same input, and
-/// the returned speedup is the MEDIAN OF THE PER-REP RATIOS time(A)/
-/// time(B). On a shared dev container, load drift between two separately
-/// timed variants easily exceeds the effect under measurement; pairing
-/// puts both sides of every ratio under near-identical machine state, so
-/// the ratio median converges where sequential medians see-saw. Emits the
-/// same per-variant rows (median/min/phases over the paired reps).
-double runPairedRows(const Variant &VA, const Variant &VB,
-                     const std::vector<int64_t> &Dims,
-                     const tensor::SparseTensor &In, int64_t Nnz,
-                     const char *Leg, BenchReport &Report) {
-  const jit::JitConversion *Convs[2];
-  for (int V = 0; V < 2; ++V) {
-    ScopedVariant Env(V == 0 ? VA : VB);
-    formats::Format Coo3 = formats::standardFormatOrDie("coo3");
-    formats::Format Csf = formats::standardFormatOrDie("csf");
-    codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
-    Convs[V] = &jitConversion("coo3", "csf", Opts);
-  }
+/// Times two routines on the same input in interleaved pairs: every rep
+/// runs routine A then routine B back-to-back, and the returned speedup is
+/// the MEDIAN OF THE PER-REP RATIOS time(A)/time(B). On a shared dev
+/// container, load drift between two separately timed variants easily
+/// exceeds the effect under measurement; pairing puts both sides of every
+/// ratio under near-identical machine state, so the ratio median converges
+/// where sequential medians see-saw. Emits one row per routine
+/// (median/min/phases over the paired reps).
+double runPairedRoutines(const jit::JitConversion *const Convs[2],
+                         const char *const Labels[2],
+                         const tensor::SparseTensor &In, int64_t Nnz,
+                         const char *Leg, BenchReport &Report) {
   jit::CTensor A;
   jit::marshalInput(In, &A);
   int Reps = benchReps();
@@ -212,9 +218,82 @@ double runPairedRows(const Variant &VA, const Variant &VB,
       for (int I = 0; I < jit::kNumPhases; ++I)
         Phases[I] = (P[I] - Before[V][static_cast<size_t>(I)]) /
                     static_cast<double>(Reps);
-    emitRow(Leg, (V == 0 ? VA : VB).Label, Nnz, S, Phases, Report);
+    emitRow(Leg, Labels[V], Nnz, S, Phases, Report);
   }
   return Speedup;
+}
+
+/// runPairedRoutines over coo3->csf planned under two knob variants.
+double runPairedRows(const Variant &VA, const Variant &VB,
+                     const std::vector<int64_t> &Dims,
+                     const tensor::SparseTensor &In, int64_t Nnz,
+                     const char *Leg, BenchReport &Report) {
+  const jit::JitConversion *Convs[2];
+  for (int V = 0; V < 2; ++V) {
+    ScopedVariant Env(V == 0 ? VA : VB);
+    formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+    formats::Format Csf = formats::standardFormatOrDie("csf");
+    codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
+    Convs[V] = &jitConversion("coo3", "csf", Opts);
+  }
+  const char *const Labels[2] = {VA.Label, VB.Label};
+  return runPairedRoutines(Convs, Labels, In, Nnz, Leg, Report);
+}
+
+/// Applies a seeded permutation to a COO tensor's stored entries (every
+/// crd array and the values together): still a legal COO tensor with the
+/// same nonzeros, but no prefix of its tuples is ordered.
+void shuffleCooEntries(tensor::SparseTensor &T, uint64_t Seed) {
+  size_t N = static_cast<size_t>(T.storedSize());
+  std::vector<size_t> Perm(N);
+  for (size_t I = 0; I < N; ++I)
+    Perm[I] = I;
+  std::mt19937_64 Rng(Seed);
+  for (size_t I = N; I > 1; --I)
+    std::swap(Perm[I - 1], Perm[static_cast<size_t>(Rng() % I)]);
+  for (tensor::LevelStorage &L : T.Levels) {
+    std::vector<int32_t> Crd(L.Crd.begin(), L.Crd.end());
+    for (size_t I = 0; I < N; ++I)
+      L.Crd[I] = Crd[Perm[I]];
+  }
+  std::vector<double> Vals(T.Vals.begin(), T.Vals.end());
+  for (size_t I = 0; I < N; ++I)
+    T.Vals[I] = Vals[Perm[I]];
+}
+
+/// A copy of \p S whose every sortUniqueRank sorts outright (lead = arity,
+/// no order check): the full-sort lowering plans used before the ordered
+/// lead, kept only here as the baseline it is measured against.
+ir::Stmt withFullSortLead(const ir::Stmt &S) {
+  if (!S)
+    return S;
+  auto Copy = std::make_shared<ir::StmtNode>(*S);
+  if (Copy->Kind == ir::StmtKind::SortUniqueRank)
+    Copy->OrderedLead = Copy->Arity;
+  for (ir::Stmt &Sub : Copy->Stmts)
+    Sub = withFullSortLead(Sub);
+  Copy->Body = withFullSortLead(Copy->Body);
+  Copy->Else = withFullSortLead(Copy->Else);
+  return Copy;
+}
+
+/// Times \p Src -> \p Dst at \p Dims with the full-sort lead against the
+/// planner's ordered lead, paired; returns full/ordered.
+double runLeadPair(const char *Src, const char *Dst,
+                   const std::vector<int64_t> &Dims,
+                   const tensor::SparseTensor &In, int64_t Nnz,
+                   const char *Leg, BenchReport &Report) {
+  formats::Format Source = formats::standardFormatOrDie(Src);
+  formats::Format Target = formats::standardFormatOrDie(Dst);
+  codegen::Options Opts = codegen::optionsForDims(Source, Target, {}, Dims);
+  codegen::Conversion Full = codegen::generateConversion(Source, Target, Opts);
+  Full.Func.Body = withFullSortLead(Full.Func.Body);
+  static std::vector<std::unique_ptr<jit::JitConversion>> Baselines;
+  Baselines.push_back(std::make_unique<jit::JitConversion>(Full));
+  const jit::JitConversion *Convs[2] = {Baselines.back().get(),
+                                        &jitConversion(Src, Dst, Opts)};
+  const char *const Labels[2] = {"fullsort", "ordered"};
+  return runPairedRoutines(Convs, Labels, In, Nnz, Leg, Report);
 }
 
 } // namespace
@@ -321,7 +400,7 @@ int main() {
               strfmt("%.3f", SharedVsPerLevel));
 
   // Radix-vs-merge leg at the packable dims: identical plan except for the
-  // SortTuples lowering, so the phase breakdown localizes the difference
+  // full-sort lowering, so the phase breakdown localizes the difference
   // to the sort slot.
   const Variant SortVariants[] = {
       {"merge",
@@ -354,6 +433,47 @@ int main() {
       RadixVsMerge = Speedup;
   }
   Report.meta("radix_vs_merge_speedup_full", strfmt("%.3f", RadixVsMerge));
+
+  // Ordered-lead leg (auto knobs): csf -> csf_102 at the huge dims, then
+  // shuffled COO sources for coo3 -> csf at both dims sets (merge and
+  // packed-radix fallbacks).
+  std::printf("\nordered lead vs full sort (median of paired per-rep "
+              "ratios, full/ordered):\n");
+  double LeadSpeedup = 0;
+  for (int64_t Nnz : {FullNnz / 4, FullNnz}) {
+    tensor::Triplets T =
+        tensor::genHyperSparse3(Dims[0], Dims[1], Dims[2], Nnz, 401);
+    tensor::SparseTensor InCsf = tensor::buildFromTriplets(Csf, T);
+    double Speedup = runLeadPair("csf", "csf_102", Dims, InCsf, T.nnz(),
+                                 "csf_to_csf102", Report);
+    std::printf("  %-24s %.2fx\n", "csf->csf_102 lead 1:", Speedup);
+    Report.add(strfmt("{\"label\": \"csf_to_csf102.%lldk.speedups\", "
+                      "\"nnz\": %lld, \"ordered_vs_fullsort_speedup\": "
+                      "%.3f, \"method\": \"median_of_paired_rep_ratios\"}",
+                      static_cast<long long>(T.nnz() / 1000),
+                      static_cast<long long>(T.nnz()), Speedup));
+    if (Nnz == FullNnz)
+      LeadSpeedup = Speedup;
+  }
+  Report.meta("csf_to_csf102_ordered_vs_fullsort_full",
+              strfmt("%.3f", LeadSpeedup));
+  for (const std::vector<int64_t> *D : {&Dims, &PackedDims}) {
+    bool Packed = D == &PackedDims;
+    tensor::Triplets T =
+        tensor::genHyperSparse3((*D)[0], (*D)[1], (*D)[2], FullNnz, 401);
+    tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
+    shuffleCooEntries(In, 7);
+    const char *Leg =
+        Packed ? "coo3_to_csf_shuffled_packed" : "coo3_to_csf_shuffled";
+    double Ratio = runLeadPair("coo3", "csf", *D, In, T.nnz(), Leg, Report);
+    std::printf("  %-24s %.2fx (the check's fallback cost, %s)\n",
+                "shuffled coo3->csf:", Ratio, Packed ? "radix" : "merge");
+    Report.add(strfmt("{\"label\": \"%s.%lldk.speedups\", \"nnz\": %lld, "
+                      "\"ordered_vs_fullsort_speedup\": %.3f, "
+                      "\"method\": \"median_of_paired_rep_ratios\"}",
+                      Leg, static_cast<long long>(T.nnz() / 1000),
+                      static_cast<long long>(T.nnz()), Ratio));
+  }
 
   // Round-trip leg: csf back to coo3 at the full point (needs no sorted
   // levels — the coo3 target has no dense ranking structures — so it also

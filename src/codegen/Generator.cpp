@@ -750,6 +750,40 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     }
   }
 
+  // Ordered lead per sorted level: the sweep collects the level's tuple
+  // (destination dims 0..Dim, plain variables) in the source's iteration
+  // order S, so after a stable sort by the first r tuple components the
+  // list is already sorted whenever the remaining components are a prefix
+  // of S with those r variables removed. The smallest such r is the only
+  // part of the tuple the emitted sort has to order before verifying
+  // (coo3 -> csf: 0; csf -> csf_102: 1, the new leading dim). Sources
+  // whose iteration order stops at a computed or unordered level give a
+  // shorter S and so a larger lead, up to a full sort. The lead's
+  // components must pack into one 64-bit key: always true under known
+  // widths, and for at most two 32-bit components otherwise.
+  Plan.OrderedLead.assign(N, 0);
+  for (size_t K = 0; K < N; ++K) {
+    if (!Plan.Sorted[K])
+      continue;
+    size_t R = static_cast<size_t>(Dst.Levels[K].Dim) + 1;
+    std::vector<std::string> T(R);
+    for (size_t D = 0; D < R; ++D)
+      remap::dimIsPlainVar(Dst.Remap, D, &T[D]);
+    size_t Lead = R;
+    for (size_t Cut = 0; Cut < R && Lead == R; ++Cut) {
+      std::vector<std::string> Rest;
+      for (const std::string &V : Ordered)
+        if (std::find(T.begin(), T.begin() + Cut, V) == T.begin() + Cut)
+          Rest.push_back(V);
+      if (Rest.size() >= R - Cut &&
+          std::equal(T.begin() + Cut, T.end(), Rest.begin()))
+        Lead = Cut;
+    }
+    if (Lead < R && Plan.PackWidths.empty() && Lead > 2)
+      Lead = R;
+    Plan.OrderedLead[K] = static_cast<int64_t>(Lead);
+  }
+
   // The sequenced workspace survives only where neither ranked nor sorted
   // replaced it; note when its prefix spans non-dense source levels, whose
   // order is data-dependent (csc -> coo legally yields column-major coo)
@@ -979,6 +1013,9 @@ Conversion Generator::run() {
     return P;
   };
   Ctx.PackWidths = Plan.PackWidths;
+  Ctx.OrderedLead.assign(1, 0);
+  Ctx.OrderedLead.insert(Ctx.OrderedLead.end(), Plan.OrderedLead.begin(),
+                         Plan.OrderedLead.end());
   // A sorted level whose parent is itself sorted and groups exactly one
   // dim fewer can derive parent positions by prefix ranking (flag + scan
   // over its own sorted list) instead of per-block-end binary searches.

@@ -128,6 +128,17 @@ struct AssemblyPlan {
   /// PackedSort only: the per-destination-dim bit widths (dimension
   /// order); empty otherwise.
   std::vector<int64_t> PackWidths;
+  /// Per level: for a sorted level, how many leading components of its
+  /// grouping tuple (destination dims 0..Dim) the source's iteration order
+  /// leaves unsorted — the smallest r such that the tuple minus its first
+  /// r components is a prefix of the source's lexicographic iteration
+  /// order with those r variables removed. The emitted sort orders only
+  /// those components, then verifies the whole list in O(nnz) and falls
+  /// back to the full sort when an input is not in its format's order
+  /// (a legal unsorted COO). Derived from the two formats (and, through
+  /// the 64-bit lead-key limit, PackWidths), so it needs no plan-key bit;
+  /// results never depend on it. 0 for levels that are not sorted.
+  std::vector<int64_t> OrderedLead;
   /// Leading source levels whose lexicographic order the sequenced dedup
   /// workspace trusts but the source format cannot guarantee structurally;
   /// the converter validates them at run time. 0 when no check is needed.

@@ -17,9 +17,28 @@ namespace {
 
 /// The published snapshot. Never deleted: readers hold plain references
 /// with no lifetime token, so a superseded snapshot must outlive any
-/// thread that loaded it. reloadKnobsFromEnv() is a test-only hook — the
-/// leak is a handful of ~64-byte structs per test binary, by design.
+/// thread that loaded it (PlanCache's route memo also keys on snapshot
+/// addresses, which must therefore never be reused).
 std::atomic<const StrategyKnobs *> Current{nullptr};
+
+/// Superseded snapshots, chained so they stay reachable (and leak checkers
+/// see retained memory, not a leak). reloadKnobsFromEnv() is a test-only
+/// hook, so the chain holds a handful of small structs per test binary.
+/// Nodes are pushed lock-free and never popped; the head is a trivially
+/// destructible global, so the chain outlives static destruction.
+struct RetiredKnobs {
+  const StrategyKnobs *Knobs;
+  RetiredKnobs *Next;
+};
+std::atomic<RetiredKnobs *> Retired{nullptr};
+
+void retire(const StrategyKnobs *K) {
+  auto *Node = new RetiredKnobs{K, Retired.load(std::memory_order_relaxed)};
+  while (!Retired.compare_exchange_weak(Node->Next, Node,
+                                        std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+  }
+}
 
 int64_t parseInt(const char *Name, int64_t Default, bool RequirePositive) {
   const char *Env = std::getenv(Name);
@@ -94,7 +113,9 @@ const StrategyKnobs &codegen::knobs() {
 }
 
 void codegen::reloadKnobsFromEnv() {
-  // The superseded snapshot is leaked, never freed: a concurrent reader
+  // The superseded snapshot is retired, never freed: a concurrent reader
   // that loaded it before the swap may still be dereferencing it.
-  Current.store(parseFromEnv(), std::memory_order_release);
+  if (const StrategyKnobs *Old =
+          Current.exchange(parseFromEnv(), std::memory_order_acq_rel))
+    retire(Old);
 }

@@ -80,7 +80,8 @@ struct StrategyKnobs {
 /// The current snapshot. First use parses the environment once; after
 /// that every call is a single atomic load. The reference stays valid for
 /// the process lifetime even across reloadKnobsFromEnv() (superseded
-/// snapshots are intentionally leaked so concurrent readers never dangle).
+/// snapshots are retained, never freed, so concurrent readers never
+/// dangle).
 const StrategyKnobs &knobs();
 
 /// Re-parses every strategy knob from the environment and publishes the

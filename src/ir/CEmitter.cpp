@@ -31,87 +31,68 @@ std::string ir::cTensorStructDecl() {
                 kMaxLevels + 1);
 }
 
-/// Whether the function body uses any sorted-ranking construct, so the
-/// prelude helpers (and their OpenMP pragma) are emitted only into
-/// routines that need them — keeping every other routine's emitted C (and
-/// its exact parallel-loop census, which tests pin) unchanged.
-static bool exprUsesSortedRanking(const Expr &E) {
-  if (!E)
-    return false;
-  if (E->Kind == ExprKind::LowerBound)
-    return true;
-  for (const Expr &Arg : E->Args)
-    if (exprUsesSortedRanking(Arg))
-      return true;
-  return exprUsesSortedRanking(E->A) || exprUsesSortedRanking(E->B) ||
-         exprUsesSortedRanking(E->C);
-}
+namespace {
 
-static bool stmtUsesSortedRanking(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples || S->Kind == StmtKind::UniqueTuples ||
-      S->Kind == StmtKind::UniquePrefix || S->Kind == StmtKind::HashDistinct)
-    return true;
-  if (exprUsesSortedRanking(S->A) || exprUsesSortedRanking(S->B))
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesSortedRanking(Sub))
-      return true;
-  return stmtUsesSortedRanking(S->Body) || stmtUsesSortedRanking(S->Else);
-}
+/// The sorted-ranking prelude helpers a function body calls. Each helper
+/// (and its OpenMP pragmas) is emitted only into routines that need it,
+/// keeping every other routine's emitted C — and its exact parallel-loop
+/// census, which tests pin — unchanged.
+struct HelperUse {
+  bool SortUniqueRank = false; ///< Any SortUniqueRank statement.
+  bool LeadSort = false;       ///< ... with 0 < OrderedLead < Arity.
+  bool PackedSort = false;     ///< ... with pack widths (radix full sort).
+  bool MergeSort = false;      ///< ... without (merge full sort).
+  bool UniquePrefix = false;
+  bool HashDistinct = false;
+  bool Search = false;       ///< Tuple-compare LowerBound.
+  bool PackedSearch = false; ///< Packed-key LowerBound.
 
-/// Whether the body contains a packed SortTuples, so cvg_radix_sort_packed
-/// is emitted only into routines that call it — merge-sorting routines'
-/// emitted C stays byte-identical to what the goldens pin.
-static bool stmtUsesPackedSort(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples && !S->PackWidths.empty())
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesPackedSort(Sub))
-      return true;
-  return stmtUsesPackedSort(S->Body) || stmtUsesPackedSort(S->Else);
-}
+  bool any() const {
+    return SortUniqueRank || UniquePrefix || HashDistinct || Search ||
+           PackedSearch;
+  }
 
-/// Whether the body contains an unpacked SortTuples — only those call the
-/// merge-sort helpers, so packed-only routines skip them.
-static bool stmtUsesUnpackedSort(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples && S->PackWidths.empty())
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesUnpackedSort(Sub))
-      return true;
-  return stmtUsesUnpackedSort(S->Body) || stmtUsesUnpackedSort(S->Else);
-}
+  void scan(const Expr &E) {
+    if (!E)
+      return;
+    if (E->Kind == ExprKind::LowerBound)
+      (E->PackWidths.empty() ? Search : PackedSearch) = true;
+    for (const Expr &Arg : E->Args)
+      scan(Arg);
+    scan(E->A);
+    scan(E->B);
+    scan(E->C);
+  }
 
-/// Whether the body contains a packed LowerBound, so cvg_lower_bound_packed
-/// is emitted only into routines that call it.
-static bool exprUsesPackedSearch(const Expr &E) {
-  if (!E)
-    return false;
-  if (E->Kind == ExprKind::LowerBound && !E->PackWidths.empty())
-    return true;
-  for (const Expr &Arg : E->Args)
-    if (exprUsesPackedSearch(Arg))
-      return true;
-  return exprUsesPackedSearch(E->A) || exprUsesPackedSearch(E->B) ||
-         exprUsesPackedSearch(E->C);
-}
+  void scan(const Stmt &S) {
+    if (!S)
+      return;
+    switch (S->Kind) {
+    case StmtKind::SortUniqueRank:
+      SortUniqueRank = true;
+      LeadSort =
+          LeadSort || (S->OrderedLead > 0 && S->OrderedLead < S->Arity);
+      (S->PackWidths.empty() ? MergeSort : PackedSort) = true;
+      break;
+    case StmtKind::UniquePrefix:
+      UniquePrefix = true;
+      break;
+    case StmtKind::HashDistinct:
+      HashDistinct = true;
+      break;
+    default:
+      break;
+    }
+    scan(S->A);
+    scan(S->B);
+    for (const Stmt &Sub : S->Stmts)
+      scan(Sub);
+    scan(S->Body);
+    scan(S->Else);
+  }
+};
 
-static bool stmtUsesPackedSearch(const Stmt &S) {
-  if (!S)
-    return false;
-  if (exprUsesPackedSearch(S->A) || exprUsesPackedSearch(S->B))
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesPackedSearch(Sub))
-      return true;
-  return stmtUsesPackedSearch(S->Body) || stmtUsesPackedSearch(S->Else);
-}
+} // namespace
 
 /// Emits the prologue line that binds one function parameter to a local
 /// variable named exactly as the IR references it.
@@ -142,37 +123,16 @@ static std::string bindParam(const Param &P) {
                  .c_str());
 }
 
-std::string ir::emitC(const Function &F) {
+/// The sorted-ranking prelude: only the helpers \p Use names. Tuples are
+/// `arity` consecutive int32 elements; every helper's output is a pure
+/// function of its input (never of the partition count), so any thread
+/// count — and the interpreter's serial oracle — produce bit-identical
+/// buffers.
+static std::string sortedRankingHelpers(const HelperUse &Use) {
   std::string Out;
-  Out += "// Generated by convgen. Do not edit.\n";
-  // clock_gettime needs POSIX visibility under strict -std=c11.
-  Out += "#define _POSIX_C_SOURCE 199309L\n";
-  Out += "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n"
-         "#include <time.h>\n\n";
-  Out += "#define cvg_min(a, b)                                              "
-         "\\\n  ({ __typeof__(a) cvg_a = (a); __typeof__(b) cvg_b = (b);     "
-         "\\\n     cvg_a < cvg_b ? cvg_a : cvg_b; })\n";
-  Out += "#define cvg_max(a, b)                                              "
-         "\\\n  ({ __typeof__(a) cvg_a = (a); __typeof__(b) cvg_b = (b);     "
-         "\\\n     cvg_a > cvg_b ? cvg_a : cvg_b; })\n\n";
-  // Partition count for blocked parallel passes (scans, cursor insertion).
-  // Serial builds see one partition, so the same source stays valid C and
-  // bit-identical: generated code is deterministic for any value >= 1.
-  Out += "#ifdef _OPENMP\n"
-         "#include <omp.h>\n"
-         "#define cvg_nparts() ((int64_t)omp_get_max_threads())\n"
-         "#else\n"
-         "#define cvg_nparts() ((int64_t)1)\n"
-         "#endif\n\n";
-  // Sorted-ranking helpers: a lexicographic tuple comparator, a bottom-up
-  // merge sort whose per-width merge passes parallelize under OpenMP (the
-  // result is the fully sorted sequence, so any thread count — and the
-  // interpreter's serial oracle — produce bit-identical buffers), a serial
-  // adjacent-duplicate compaction, and a binary search returning the rank
-  // of a key tuple. Tuples are `arity` consecutive int32 elements.
-  bool UsesSorted = stmtUsesSortedRanking(F.Body);
-  if (UsesSorted)
-    Out += R"(static int cvg_tuple_cmp(const int32_t *a, const int32_t *b,
+  if (!Use.any())
+    return Out;
+  Out += R"(static int cvg_tuple_cmp(const int32_t *a, const int32_t *b,
                          int64_t arity) {
   for (int64_t i = 0; i < arity; i++) {
     if (a[i] != b[i])
@@ -181,9 +141,9 @@ std::string ir::emitC(const Function &F) {
   return 0;
 }
 )";
-  // The comparison merge sort: only unpacked SortTuples call it, so a
-  // routine whose every sort is packed carries no dead merge machinery.
-  if (stmtUsesUnpackedSort(F.Body))
+  // The comparison merge sort: a bottom-up merge whose per-width merge
+  // passes parallelize under OpenMP.
+  if (Use.MergeSort)
     Out += R"(static void cvg_merge_tuples(int32_t *dst, const int32_t *src, int64_t lo,
                              int64_t mid, int64_t hi, int64_t arity) {
   int64_t i = lo, j = mid, k = lo;
@@ -223,21 +183,8 @@ static void cvg_sort_tuples(int32_t *buf, int64_t n, int64_t arity) {
   free(tmp);
 }
 )";
-  if (UsesSorted)
-    Out += R"(static int64_t cvg_unique_tuples(int32_t *buf, int64_t n, int64_t arity) {
-  int64_t u = 0;
-  for (int64_t i = 0; i < n; i++) {
-    if (u > 0 &&
-        cvg_tuple_cmp(buf + i * arity, buf + (u - 1) * arity, arity) == 0)
-      continue;
-    if (u != i)
-      memcpy(buf + u * arity, buf + i * arity,
-             (size_t)arity * sizeof(int32_t));
-    u++;
-  }
-  return u;
-}
-static int64_t cvg_lower_bound(const int32_t *buf, int64_t n, int64_t arity,
+  if (Use.Search)
+    Out += R"(static int64_t cvg_lower_bound(const int32_t *buf, int64_t n, int64_t arity,
                                const int64_t *key) {
   int64_t lo = 0, hi = n;
   while (lo < hi) {
@@ -253,30 +200,23 @@ static int64_t cvg_lower_bound(const int32_t *buf, int64_t n, int64_t arity,
   }
   return lo;
 }
-/* Compacts the distinct leading dst_arity components of the n sorted
- * src tuples (arity src_arity) into dst, preserving order. Blocked
- * two-pass compaction: each partition counts its first-of-prefix tuples
- * (the i-1 comparison reads across partition boundaries, src is const),
- * a serial pass turns counts into write offsets, and a second parallel
- * pass copies. The output never depends on the partition count, so any
- * thread count (and the interpreter's serial oracle) agree exactly. */
-static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
+)";
+  // Compacts the distinct leading dst_arity components of the n sorted src
+  // tuples (arity src_arity) into dst, preserving order. Blocked two-pass
+  // compaction: each partition counts its first-of-prefix tuples (the i-1
+  // comparison reads across partition boundaries, src is const), a serial
+  // pass turns counts into write offsets, and a second parallel pass copies.
+  // The output never depends on the partition count, so any thread count (and
+  // the interpreter's serial oracle) agree exactly.
+  if (Use.UniquePrefix)
+    Out += R"(static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
                                  int64_t src_arity, int32_t *dst,
                                  int64_t dst_arity) {
   int64_t p = cvg_nparts();
   if (p > n)
     p = n;
-  if (p <= 1) {
-    int64_t u = 0;
-    for (int64_t i = 0; i < n; i++) {
-      if (i > 0 && cvg_tuple_cmp(src + i * src_arity,
-                                 src + (i - 1) * src_arity, dst_arity) == 0)
-        continue;
-      memcpy(dst + (u++) * dst_arity, src + i * src_arity,
-             (size_t)dst_arity * sizeof(int32_t));
-    }
-    return u;
-  }
+  if (p < 1)
+    p = 1;
   int64_t *offs = (int64_t *)malloc((size_t)(p + 1) * sizeof(int64_t));
   #pragma omp parallel for
   for (int64_t b = 0; b < p; b++) {
@@ -303,12 +243,13 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
   free(offs);
   return total;
 }
-/* Gathers the distinct tuples of src into dst (first-seen order) through
- * an open-addressing table of 2n power-of-two slots holding dst indices.
- * O(n) memory, serial insertion: the win over sorting is algorithmic
- * (distinct log distinct instead of n log n comparison work), not
- * thread-level. */
-static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
+)";
+  // Gathers the distinct tuples of src into dst (first-seen order) through an
+  // open-addressing table of 2n power-of-two slots holding dst indices. O(n)
+  // memory, serial insertion: the win over sorting is algorithmic (distinct
+  // log distinct instead of n log n comparison work), not thread-level.
+  if (Use.HashDistinct)
+    Out += R"(static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
                                  int64_t arity, int32_t *dst) {
   if (n == 0)
     return 0;
@@ -343,91 +284,125 @@ static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
 }
 
 )";
-  // Packed-key LSD radix sort: each arity-component tuple packs into one
-  // uint64_t key (component 0 most significant, widths chosen by the
-  // planner so the total fits 64 bits and every coordinate fits its
-  // component), so unsigned key order equals lexicographic tuple order and
-  // the tuples reconstruct exactly from the sorted keys. Digit counts are
-  // a pure function of the key multiset, not of the arrangement, so one
-  // upfront sweep prices every 11-bit-digit pass (6 passes cover 64 bits;
-  // 2048 scatter buckets still fit the cache): passes whose digit is
-  // constant
-  // are skipped outright, and the single-partition scatter reuses the
-  // counts as its stable bases with no per-pass counting sweep (the
-  // dominant layout on one CPU). Multi-partition passes rebuild
-  // per-partition histograms over a fixed blocking of [0, n) — those DO
-  // depend on the arrangement — and turn them into scatter bases with one
-  // serial (digit, partition) offset scan. Either way every pass is a
-  // stable scatter, and a stable LSD sort's output is uniquely determined
-  // by the input multiset, so any partition count (and the interpreter's
-  // serial oracle) produce bit-identical buffers by construction. The
-  // rank_out payload rides the same stable scatters, so each slot's
-  // position after the final pass — and therefore its dedup rank — is the
-  // unique stable-sort position: rank_out is deterministic too, equal to
-  // a binary search of the slot's tuple in the deduped list.
-  if (stmtUsesPackedSort(F.Body))
-    Out += R"(static int64_t cvg_radix_sort_packed(int32_t *restrict buf, int64_t n,
-                                     int64_t arity,
-                                     const int64_t *restrict widths,
-                                     int dedup,
-                                     int32_t *restrict rank_out) {
-  if (n <= 0)
-    return 0;
-  if (n == 1) {
-    if (rank_out)
-      rank_out[0] = 0;
-    return 1;
+  // Checks that the n tuples of buf are in non-decreasing lexicographic
+  // order and, when they are, dedups them in place and scatters each
+  // tuple's rank in the distinct list to rank_out[slot[i]] (slot NULL: slot
+  // i; rank_out NULL: no ranks). Returns the distinct count, or -1 with buf
+  // and rank_out untouched when some adjacent pair is out of order. The
+  // check is a blocked parallel pass (the i-1 comparison reads across
+  // partition boundaries) that also counts first-of-run tuples; without
+  // duplicates the ranks are the positions themselves, scattered in
+  // parallel with no further compares. With duplicates a serial forward
+  // compaction runs: it writes only at or behind its read position, and
+  // never over a tuple it has yet to compare.
+  if (Use.SortUniqueRank)
+    Out += R"(static int64_t cvg_unique_sorted(int32_t *buf, int64_t n, int64_t arity,
+                                 const int32_t *slot, int32_t *rank_out) {
+  int64_t p = cvg_nparts();
+  if (p > n)
+    p = n;
+  if (p < 1)
+    p = 1;
+  int64_t total = 0;
+  int unsorted = 0;
+  #pragma omp parallel for reduction(| : unsorted) reduction(+ : total)
+  for (int64_t b = 0; b < p; b++) {
+    for (int64_t i = n * b / p; i < n * (b + 1) / p; i++) {
+      int c = i == 0 ? -1
+                     : cvg_tuple_cmp(buf + (i - 1) * arity, buf + i * arity,
+                                     arity);
+      if (c > 0) {
+        unsorted = 1;
+        break;
+      }
+      total += c < 0;
+    }
   }
-  int64_t total_bits = 0;
-  for (int64_t d = 0; d < arity; d++)
-    total_bits += widths[d];
+  if (unsorted)
+    return -1;
+  if (total == n) {
+    if (rank_out) {
+      #pragma omp parallel for
+      for (int64_t i = 0; i < n; i++)
+        rank_out[slot ? slot[i] : i] = (int32_t)i;
+    }
+    return n;
+  }
+  int64_t u = 0;
+  for (int64_t i = 0; i < n; i++) {
+    if (i == 0 ||
+        cvg_tuple_cmp(buf + (i - 1) * arity, buf + i * arity, arity) != 0) {
+      if (u != i)
+        memcpy(buf + u * arity, buf + i * arity,
+               (size_t)arity * sizeof(int32_t));
+      u++;
+    }
+    if (rank_out)
+      rank_out[slot ? slot[i] : i] = (int32_t)(u - 1);
+  }
+  return u;
+}
+)";
+  // Stable radix ordering by packed keys, shared by the ordered-lead sort
+  // (the first `ncomp` = lead components) and the packed full sort (all of
+  // them): each slot's components pack into one uint64_t key (component 0
+  // most significant, the planner's widths or 32 bits each, so unsigned
+  // key order equals lexicographic order), an LSD radix sort carries the
+  // slot index as its payload, and the tuples are gathered into a fresh
+  // buffer in slot order. Digit counts are a pure function of the key
+  // multiset, not of the arrangement, so one upfront sweep prices every
+  // 11-bit-digit pass (6 passes cover 64 bits; 2048 scatter buckets still
+  // fit the cache) and passes whose digit is constant are skipped
+  // outright. Each pass rebuilds per-partition histograms over a fixed
+  // blocking of [0, n) and turns them into scatter bases with one serial
+  // (digit, partition) offset scan. Every pass is a stable scatter, and a
+  // stable LSD sort's output is uniquely determined by the input
+  // sequence, so any partition count produces the same order by
+  // construction.
+  if (Use.LeadSort || Use.PackedSort)
+    Out += R"(static int32_t *cvg_radix_gather(const int32_t *restrict buf, int64_t n,
+                                 int64_t arity, int64_t ncomp,
+                                 const int64_t *restrict widths,
+                                 int32_t **slot_out) {
+  enum { CVG_RADIX_BITS = 11, CVG_RADIX_SIZE = 1 << CVG_RADIX_BITS };
+  int64_t bits = 0;
+  for (int64_t d = 0; d < ncomp; d++)
+    bits += widths ? widths[d] : 32;
   uint64_t *keys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
   uint64_t *aux = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-  /* rank_out: the sort carries each tuple's source slot as a payload so
-     that, once sorted and deduped, it can scatter rank_out[slot] = the
-     tuple's index in the unique list — the same value a post-sort binary
-     search for that tuple would return, precomputed for every slot. */
-  int32_t *idx = NULL, *iaux = NULL;
-  if (rank_out) {
-    idx = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-    iaux = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-  }
+  int32_t *idx = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+  int32_t *iaux = (int32_t *)malloc((size_t)n * sizeof(int32_t));
   #pragma omp parallel for
   for (int64_t i = 0; i < n; i++) {
     uint64_t k = 0;
-    for (int64_t d = 0; d < arity; d++)
-      k = (k << widths[d]) | (uint64_t)(uint32_t)buf[i * arity + d];
+    for (int64_t d = 0; d < ncomp; d++)
+      k = (k << (widths ? widths[d] : 32)) |
+          (uint64_t)(uint32_t)buf[i * arity + d];
     keys[i] = k;
-    if (idx)
-      idx[i] = (int32_t)i;
+    idx[i] = (int32_t)i;
   }
   int64_t p = cvg_nparts();
   if (p > n)
     p = n;
   if (p < 1)
     p = 1;
-  enum { CVG_RADIX_BITS = 11, CVG_RADIX_SIZE = 1 << CVG_RADIX_BITS };
-  int64_t passes =
-      (total_bits + CVG_RADIX_BITS - 1) / CVG_RADIX_BITS;
-  int64_t *ptot = (int64_t *)malloc(
-      (size_t)(p * passes * CVG_RADIX_SIZE) * sizeof(int64_t));
+  int64_t passes = (bits + CVG_RADIX_BITS - 1) / CVG_RADIX_BITS;
+  int64_t span = passes * CVG_RADIX_SIZE;
+  int64_t *totals = (int64_t *)calloc((size_t)(span + 1), sizeof(int64_t));
+  int64_t *hist =
+      (int64_t *)malloc((size_t)(p * (span + 1)) * sizeof(int64_t));
   #pragma omp parallel for
   for (int64_t b = 0; b < p; b++) {
-    int64_t *h = ptot + b * passes * CVG_RADIX_SIZE;
-    memset(h, 0, (size_t)(passes * CVG_RADIX_SIZE) * sizeof(int64_t));
+    int64_t *h = hist + b * (span + 1);
+    memset(h, 0, (size_t)span * sizeof(int64_t));
     for (int64_t i = n * b / p; i < n * (b + 1) / p; i++)
       for (int64_t pass = 0; pass < passes; pass++)
         h[pass * CVG_RADIX_SIZE +
           ((keys[i] >> (CVG_RADIX_BITS * pass)) & (CVG_RADIX_SIZE - 1))]++;
   }
-  int64_t *totals = (int64_t *)calloc((size_t)(passes * CVG_RADIX_SIZE),
-                                      sizeof(int64_t));
   for (int64_t b = 0; b < p; b++)
-    for (int64_t j = 0; j < passes * CVG_RADIX_SIZE; j++)
-      totals[j] += ptot[b * passes * CVG_RADIX_SIZE + j];
-  free(ptot);
-  int64_t *hist =
-      (int64_t *)malloc((size_t)(p * CVG_RADIX_SIZE) * sizeof(int64_t));
+    for (int64_t j = 0; j < span; j++)
+      totals[j] += hist[b * (span + 1) + j];
   for (int64_t pass = 0; pass < passes; pass++) {
     int64_t shift = CVG_RADIX_BITS * pass;
     const int64_t *tot = totals + pass * CVG_RADIX_SIZE;
@@ -437,102 +412,90 @@ static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
         constant = 1;
     if (constant)
       continue;
-    if (p == 1) {
-      int64_t base = 0;
-      for (int64_t digit = 0; digit < CVG_RADIX_SIZE; digit++) {
-        hist[digit] = base;
-        base += tot[digit];
+    #pragma omp parallel for
+    for (int64_t b = 0; b < p; b++) {
+      int64_t *h = hist + b * CVG_RADIX_SIZE;
+      memset(h, 0, CVG_RADIX_SIZE * sizeof(int64_t));
+      for (int64_t i = n * b / p; i < n * (b + 1) / p; i++)
+        h[(keys[i] >> shift) & (CVG_RADIX_SIZE - 1)]++;
+    }
+    int64_t base = 0;
+    for (int64_t digit = 0; digit < CVG_RADIX_SIZE; digit++)
+      for (int64_t b = 0; b < p; b++) {
+        int64_t c = hist[b * CVG_RADIX_SIZE + digit];
+        hist[b * CVG_RADIX_SIZE + digit] = base;
+        base += c;
       }
-      for (int64_t i = 0; i < n; i++) {
-        int64_t dst = hist[(keys[i] >> shift) & (CVG_RADIX_SIZE - 1)]++;
+    #pragma omp parallel for
+    for (int64_t b = 0; b < p; b++) {
+      int64_t *h = hist + b * CVG_RADIX_SIZE;
+      for (int64_t i = n * b / p; i < n * (b + 1) / p; i++) {
+        int64_t dst = h[(keys[i] >> shift) & (CVG_RADIX_SIZE - 1)]++;
         aux[dst] = keys[i];
-        if (idx)
-          iaux[dst] = idx[i];
-      }
-    } else {
-      #pragma omp parallel for
-      for (int64_t b = 0; b < p; b++) {
-        int64_t *h = hist + b * CVG_RADIX_SIZE;
-        memset(h, 0, CVG_RADIX_SIZE * sizeof(int64_t));
-        for (int64_t i = n * b / p; i < n * (b + 1) / p; i++)
-          h[(keys[i] >> shift) & (CVG_RADIX_SIZE - 1)]++;
-      }
-      int64_t base = 0;
-      for (int64_t digit = 0; digit < CVG_RADIX_SIZE; digit++)
-        for (int64_t b = 0; b < p; b++) {
-          int64_t c = hist[b * CVG_RADIX_SIZE + digit];
-          hist[b * CVG_RADIX_SIZE + digit] = base;
-          base += c;
-        }
-      #pragma omp parallel for
-      for (int64_t b = 0; b < p; b++) {
-        int64_t *h = hist + b * CVG_RADIX_SIZE;
-        for (int64_t i = n * b / p; i < n * (b + 1) / p; i++) {
-          int64_t dst = h[(keys[i] >> shift) & (CVG_RADIX_SIZE - 1)]++;
-          aux[dst] = keys[i];
-          if (idx)
-            iaux[dst] = idx[i];
-        }
+        iaux[dst] = idx[i];
       }
     }
     uint64_t *swap = keys;
     keys = aux;
     aux = swap;
-    if (idx) {
-      int32_t *iswap = idx;
-      idx = iaux;
-      iaux = iswap;
-    }
+    int32_t *iswap = idx;
+    idx = iaux;
+    iaux = iswap;
   }
   free(hist);
   free(totals);
+  free(keys);
   free(aux);
-  /* Fused dedup: equal packed keys are equal tuples, so compacting the
-     sorted keys before unpacking replaces the tuple-compare compaction
-     pass a separate cvg_unique_tuples would run over 3x the bytes. With a
-     payload the same sweep scatters each slot's rank. */
-  if (rank_out) {
-    int64_t u = 0;
-    for (int64_t i = 0; i < n; i++) {
-      if (u == 0 || keys[i] != keys[u - 1]) {
-        keys[u] = keys[i];
-        u++;
-      }
-      rank_out[idx[i]] = (int32_t)(u - 1);
-    }
-    n = u;
-    free(idx);
-    free(iaux);
-  } else if (dedup) {
-    int64_t u = 1;
-    for (int64_t i = 1; i < n; i++)
-      if (keys[i] != keys[u - 1])
-        keys[u++] = keys[i];
-    n = u;
+  free(iaux);
+  int32_t *sorted = (int32_t *)malloc((size_t)(n * arity) * sizeof(int32_t));
+  #pragma omp parallel for
+  for (int64_t i = 0; i < n; i++)
+    memcpy(sorted + i * arity, buf + (int64_t)idx[i] * arity,
+           (size_t)arity * sizeof(int32_t));
+  *slot_out = idx;
+  return sorted;
+}
+)";
+  // Full comparison sort. With ranks, each tuple carries its slot as a
+  // trailing sort component: ties then order by slot, and the slot
+  // survives the sort to address rank_out (workspace: two copies of
+  // n * (arity + 1) ints).
+  if (Use.MergeSort)
+    Out += R"(static int64_t cvg_sort_merge_full(int32_t *restrict buf, int64_t n,
+                                   int64_t arity,
+                                   int32_t *restrict rank_out) {
+  if (!rank_out) {
+    cvg_sort_tuples(buf, n, arity);
+    return cvg_unique_sorted(buf, n, arity, NULL, NULL);
   }
+  int64_t ea = arity + 1;
+  int32_t *ext = (int32_t *)malloc((size_t)(n * ea) * sizeof(int32_t));
   #pragma omp parallel for
   for (int64_t i = 0; i < n; i++) {
-    uint64_t k = keys[i];
-    for (int64_t d = arity - 1; d >= 0; d--) {
-      buf[i * arity + d] =
-          (int32_t)(k & ((widths[d] >= 64 ? 0 : (1ull << widths[d])) - 1));
-      k >>= widths[d];
-    }
+    memcpy(ext + i * ea, buf + i * arity, (size_t)arity * sizeof(int32_t));
+    ext[i * ea + arity] = (int32_t)i;
   }
-  free(keys);
-  return n;
+  cvg_sort_tuples(ext, n, ea);
+  int32_t *slot = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+  #pragma omp parallel for
+  for (int64_t i = 0; i < n; i++) {
+    memcpy(buf + i * arity, ext + i * ea, (size_t)arity * sizeof(int32_t));
+    slot[i] = ext[i * ea + arity];
+  }
+  free(ext);
+  int64_t u = cvg_unique_sorted(buf, n, arity, slot, rank_out);
+  free(slot);
+  return u;
 }
-
 )";
   // Packed-key binary search: when the planner proved the searched tuples
   // pack into 64 bits, each probe step packs the probed tuple and compares
   // one uint64_t against the pre-packed key — the branch-free equivalent of
-  // the cvg_tuple_cmp loop, and the insertion phase's per-nonzero get_pos
-  // cost drops accordingly. Unsigned packed order equals lexicographic
+  // the cvg_tuple_cmp loop. Unsigned packed order equals lexicographic
   // order whenever every stored coordinate fits its width (the same
-  // contract as cvg_radix_sort_packed), so the result index is identical
+  // contract as cvg_radix_gather), so the result index is identical
   // to cvg_lower_bound's.
-  if (stmtUsesPackedSearch(F.Body))
+  if (Use.PackedSearch)
     Out += R"(static int64_t cvg_lower_bound_packed(const int32_t *restrict buf,
                                        int64_t n, int64_t arity,
                                        const int64_t *restrict widths,
@@ -554,8 +517,91 @@ static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
   }
   return lo;
 }
-
 )";
+  if (!Use.SortUniqueRank)
+    return Out + "\n";
+  // The order-aware sort + dedup + rank. The planner's ordered lead says
+  // how many leading components the collection order leaves unsorted: a
+  // stable radix ordering by just those into a fresh buffer (lead 0: the
+  // buffer as collected), then one O(n) check that the whole list is
+  // sorted, which also dedups and scatters the ranks. On success the
+  // ordered buffer replaces the caller's. A failed check (a legal but
+  // unsorted source, e.g. column-major COO) discards it and runs the full
+  // sort on the original buffer: the radix ordering over every component
+  // when the widths pack, the merge sort otherwise.
+  Out += R"(static int64_t cvg_sort_unique_rank(int32_t **buf_io, int64_t n,
+                                    int64_t arity, int64_t lead,
+                                    const int64_t *restrict widths,
+                                    int32_t *restrict rank_out) {
+  int32_t *buf = *buf_io;
+  (void)widths;
+  if (n <= 1) {
+    if (n == 1 && rank_out)
+      rank_out[0] = 0;
+    return n < 0 ? 0 : n;
+  }
+  int32_t *slot = NULL, *sorted = buf;
+  if (lead < arity) {
+)";
+  if (Use.LeadSort)
+    Out += R"(    if (lead > 0)
+      sorted = cvg_radix_gather(buf, n, arity, lead, widths, &slot);
+)";
+  Out += R"(    int64_t u = cvg_unique_sorted(sorted, n, arity, slot, rank_out);
+    free(slot);
+    if (u >= 0 && sorted != buf) {
+      free(buf);
+      *buf_io = sorted;
+    }
+    if (u >= 0)
+      return u;
+    if (sorted != buf)
+      free(sorted);
+  }
+)";
+  if (Use.PackedSort)
+    Out += R"(  if (widths) {
+    sorted = cvg_radix_gather(buf, n, arity, arity, widths, &slot);
+    int64_t u = cvg_unique_sorted(sorted, n, arity, slot, rank_out);
+    free(slot);
+    free(buf);
+    *buf_io = sorted;
+    return u;
+  }
+)";
+  if (Use.MergeSort)
+    Out += "  return cvg_sort_merge_full(buf, n, arity, rank_out);\n";
+  else
+    Out += "  return -1;\n";
+  Out += "}\n";
+  return Out + "\n";
+}
+
+std::string ir::emitC(const Function &F) {
+  std::string Out;
+  Out += "// Generated by convgen. Do not edit.\n";
+  // clock_gettime needs POSIX visibility under strict -std=c11.
+  Out += "#define _POSIX_C_SOURCE 199309L\n";
+  Out += "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n"
+         "#include <time.h>\n\n";
+  Out += "#define cvg_min(a, b)                                              "
+         "\\\n  ({ __typeof__(a) cvg_a = (a); __typeof__(b) cvg_b = (b);     "
+         "\\\n     cvg_a < cvg_b ? cvg_a : cvg_b; })\n";
+  Out += "#define cvg_max(a, b)                                              "
+         "\\\n  ({ __typeof__(a) cvg_a = (a); __typeof__(b) cvg_b = (b);     "
+         "\\\n     cvg_a > cvg_b ? cvg_a : cvg_b; })\n\n";
+  // Partition count for blocked parallel passes (scans, cursor insertion).
+  // Serial builds see one partition, so the same source stays valid C and
+  // bit-identical: generated code is deterministic for any value >= 1.
+  Out += "#ifdef _OPENMP\n"
+         "#include <omp.h>\n"
+         "#define cvg_nparts() ((int64_t)omp_get_max_threads())\n"
+         "#else\n"
+         "#define cvg_nparts() ((int64_t)1)\n"
+         "#endif\n\n";
+  HelperUse Use;
+  Use.scan(F.Body);
+  Out += sortedRankingHelpers(Use);
   // Per-phase wall-clock accumulators; <fn>_phase_seconds exposes them to
   // the benchmark harness (slots: analysis, edge insertion, insertion,
   // finalize). Thread-local so concurrent runs of a PlanCache-shared

@@ -444,62 +444,41 @@ Stmt ir::scan(const std::string &Buffer, Expr Length, ScanKind Kind,
   return S;
 }
 
-Stmt ir::sortTuples(const std::string &Buffer, Expr Count, int64_t Arity) {
-  CONVGEN_ASSERT(Count != nullptr, "sortTuples requires a tuple count");
-  CONVGEN_ASSERT(Arity >= 1, "sortTuples requires a positive arity");
-  Stmt S = makeStmt(StmtKind::SortTuples);
+Stmt ir::sortUniqueRank(const std::string &Buffer, Expr Count, int64_t Arity,
+                        std::vector<int64_t> PackWidths, int64_t OrderedLead,
+                        const std::string &CountVar,
+                        const std::string &RankBuffer) {
+  CONVGEN_ASSERT(Count != nullptr, "sortUniqueRank requires a tuple count");
+  CONVGEN_ASSERT(Arity >= 1, "sortUniqueRank requires a positive arity");
+  // Hard errors even in release builds: a bad width vector or lead would
+  // silently mis-sort (keys aliasing or truncating coordinates).
+  if (CountVar.empty())
+    fatalError("sortUniqueRank requires a result name");
+  if (!PackWidths.empty()) {
+    if (static_cast<int64_t>(PackWidths.size()) != Arity)
+      fatalError("sortUniqueRank requires one bit width per component");
+    int64_t TotalBits = 0;
+    for (int64_t W : PackWidths) {
+      if (W < 0 || W > 32)
+        fatalError("sortUniqueRank widths are int32 coordinate widths");
+      TotalBits += W;
+    }
+    if (TotalBits > 64)
+      fatalError("sortUniqueRank requires the tuple to fit 64 bits");
+  }
+  if (OrderedLead < 0 || OrderedLead > Arity)
+    fatalError("sortUniqueRank lead must lie in [0, arity]");
+  if (OrderedLead < Arity && PackWidths.empty() && OrderedLead > 2)
+    fatalError("sortUniqueRank lead components must pack into 64 bits");
+  Stmt S = makeStmt(StmtKind::SortUniqueRank);
   StmtNode &N = const_cast<StmtNode &>(*S);
   N.Name = Buffer;
-  N.A = std::move(Count);
-  N.Arity = Arity;
-  return S;
-}
-
-Stmt ir::sortTuplesPacked(const std::string &Buffer, Expr Count,
-                          int64_t Arity, std::vector<int64_t> PackWidths) {
-  // Hard errors even in release builds: a bad width vector would silently
-  // mis-sort (keys aliasing or truncating coordinates).
-  if (static_cast<int64_t>(PackWidths.size()) != Arity)
-    fatalError("sortTuplesPacked requires one bit width per component");
-  int64_t TotalBits = 0;
-  for (int64_t W : PackWidths) {
-    if (W < 0 || W > 32)
-      fatalError("sortTuplesPacked widths are int32 coordinate widths");
-    TotalBits += W;
-  }
-  if (TotalBits > 64)
-    fatalError("sortTuplesPacked requires the tuple to fit 64 bits");
-  Stmt S = sortTuples(Buffer, std::move(Count), Arity);
-  const_cast<StmtNode &>(*S).PackWidths = std::move(PackWidths);
-  return S;
-}
-
-Stmt ir::sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
-                                int64_t Arity,
-                                std::vector<int64_t> PackWidths,
-                                const std::string &CountVar,
-                                const std::string &RankBuffer) {
-  if (CountVar.empty())
-    fatalError("sortUniqueTuplesPacked requires a result name");
-  Stmt S =
-      sortTuplesPacked(Buffer, std::move(Count), Arity, std::move(PackWidths));
-  StmtNode &N = const_cast<StmtNode &>(*S);
   N.Slot = CountVar;
   N.Buffer2 = RankBuffer;
-  return S;
-}
-
-Stmt ir::uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
-                      const std::string &CountVar) {
-  CONVGEN_ASSERT(Count != nullptr, "uniqueTuples requires a tuple count");
-  CONVGEN_ASSERT(Arity >= 1, "uniqueTuples requires a positive arity");
-  CONVGEN_ASSERT(!CountVar.empty(), "uniqueTuples requires a result name");
-  Stmt S = makeStmt(StmtKind::UniqueTuples);
-  StmtNode &N = const_cast<StmtNode &>(*S);
-  N.Name = Buffer;
-  N.Slot = CountVar;
   N.A = std::move(Count);
   N.Arity = Arity;
+  N.PackWidths = std::move(PackWidths);
+  N.OrderedLead = OrderedLead;
   return S;
 }
 
@@ -882,71 +861,46 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       Out += Pad + Op + S->Name + ", " + printExpr(S->A) + ");\n";
     }
     return;
-  case StmtKind::SortTuples:
-    if (!S->PackWidths.empty()) {
-      // Packed lowering: the per-component widths travel as a compound
-      // literal (like cvg_lower_bound keys); the readable view shows them
-      // as a bits= annotation.
-      std::string Widths;
-      for (int64_t W : S->PackWidths) {
-        if (!Widths.empty())
-          Widths += ",";
-        Widths += std::to_string(W);
-      }
-      // A non-empty Slot is the fused form: dedup the sorted packed keys
-      // and declare the unique count (the dedup argument toggles the
-      // compaction; the return value is n when it is off). A non-empty
-      // Buffer2 additionally scatters per-slot ranks into that buffer.
-      if (CMode) {
-        std::string Decl =
-            S->Slot.empty() ? "" : strfmt("int64_t %s = ", S->Slot.c_str());
-        Out += Pad + strfmt("%scvg_radix_sort_packed(%s, %s, %lld, "
-                            "(const int64_t[]){%s}, %d, %s);\n",
-                            Decl.c_str(), S->Name.c_str(),
-                            printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str(),
-                            S->Slot.empty() ? 0 : 1,
-                            S->Buffer2.empty() ? "NULL" : S->Buffer2.c_str());
-      } else if (S->Slot.empty()) {
-        Out += Pad + strfmt("sort_tuples_packed(%s, %s, %lld, bits=[%s]);\n",
-                            S->Name.c_str(), printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str());
-      } else {
-        std::string Rank =
-            S->Buffer2.empty() ? "" : strfmt(", rank=%s", S->Buffer2.c_str());
-        Out += Pad + strfmt("int64_t %s = sort_unique_tuples_packed(%s, %s, "
-                            "%lld, bits=[%s]%s);\n",
-                            S->Slot.c_str(), S->Name.c_str(),
-                            printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str(),
-                            Rank.c_str());
-      }
-      return;
+  case StmtKind::SortUniqueRank: {
+    // The widths travel as a compound literal (like cvg_lower_bound keys),
+    // NULL selecting the merge sort; the readable view shows them as a
+    // bits= annotation and omits the absent parts. The C helper receives
+    // the buffer variable's address: the lead sort may hand back the
+    // sorted list in a fresh allocation instead of copying it over.
+    std::string Widths;
+    for (int64_t W : S->PackWidths) {
+      if (!Widths.empty())
+        Widths += ",";
+      Widths += std::to_string(W);
     }
     if (CMode) {
-      Out += Pad + strfmt("cvg_sort_tuples(%s, %s, %lld);\n", S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
-    } else {
-      // Figure 6 view: a compact pseudo-op keeps the routine readable.
-      Out += Pad + strfmt("sort_tuples(%s, %s, %lld);\n", S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
-    }
-    return;
-  case StmtKind::UniqueTuples:
-    if (CMode) {
-      Out += Pad + strfmt("int64_t %s = cvg_unique_tuples(%s, %s, %lld);\n",
+      std::string WidthArg = Widths.empty()
+                                 ? std::string("NULL")
+                                 : "(const int64_t[]){" + Widths + "}";
+      Out += Pad + strfmt("int64_t %s = cvg_sort_unique_rank(&%s, %s, %lld, "
+                          "%lld, %s, %s);\n",
                           S->Slot.c_str(), S->Name.c_str(),
                           printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
+                          static_cast<long long>(S->Arity),
+                          static_cast<long long>(S->OrderedLead),
+                          WidthArg.c_str(),
+                          S->Buffer2.empty() ? "NULL" : S->Buffer2.c_str());
     } else {
-      Out += Pad + strfmt("int64_t %s = unique_tuples(%s, %s, %lld);\n",
+      std::string Extra;
+      if (!Widths.empty())
+        Extra += ", bits=[" + Widths + "]";
+      if (!S->Buffer2.empty())
+        Extra += ", rank=" + S->Buffer2;
+      Out += Pad + strfmt("int64_t %s = sort_unique_rank(%s, %s, %lld, "
+                          "lead=%lld%s);\n",
                           S->Slot.c_str(), S->Name.c_str(),
                           printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
+                          static_cast<long long>(S->Arity),
+                          static_cast<long long>(S->OrderedLead),
+                          Extra.c_str());
     }
     return;
+  }
   case StmtKind::UniquePrefix:
     Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld, %s, %lld);\n",
                         S->Slot.c_str(),

@@ -157,8 +157,8 @@ Expr lowerBound(const std::string &Buffer, Expr Count, std::vector<Expr> Keys);
 
 /// lowerBound with the packed-key compare: \p PackWidths gives the bit
 /// width of each tuple component (one per key, each in [0, 32], total at
-/// most 64 — the same planner-proven fit as sortTuplesPacked), so the C
-/// lowering packs the key tuple and each probed tuple into single
+/// most 64 — the same planner-proven fit as sortUniqueRank's widths), so
+/// the C lowering packs the key tuple and each probed tuple into single
 /// uint64_t values and compares those. Unsigned packed order equals
 /// lexicographic tuple order whenever every stored coordinate fits its
 /// width, so the result is identical to lowerBound — the interpreter
@@ -186,8 +186,7 @@ enum class StmtKind : uint8_t {
   YieldScalar, ///< Publish scalar A to output slot Slot.
   Scan,      ///< In-place prefix sum/max over Buffer[0:A] (see scan()).
   PhaseMark, ///< Phase-boundary timing probe (see phaseMark()).
-  SortTuples,   ///< Lexicographic in-place tuple sort (see sortTuples()).
-  UniqueTuples, ///< Adjacent-duplicate compaction (see uniqueTuples()).
+  SortUniqueRank, ///< Tuple sort + dedup + ranks (see sortUniqueRank()).
   UniquePrefix, ///< Prefix compaction of a sorted list (see uniquePrefix()).
   HashDistinct, ///< Hash-table tuple dedup (see hashDistinct()).
 };
@@ -219,7 +218,7 @@ struct StmtNode {
   std::vector<Stmt> Stmts; ///< Block members.
   std::string Name;        ///< Variable or buffer name; comment text.
   std::string Slot;        ///< Yield output slot; count-variable name for
-                           ///< UniqueTuples/UniquePrefix/HashDistinct.
+                           ///< SortUniqueRank/UniquePrefix/HashDistinct.
   ScalarKind Type = ScalarKind::Int;
   Expr A, B;
   Stmt Body, Else;
@@ -227,14 +226,18 @@ struct StmtNode {
   ScanKind Scan = ScanKind::Inclusive; ///< Scan only.
   int64_t Phase = 0;                   ///< PhaseMark only: phase index.
   int64_t Arity = 1; ///< Tuple ops only: ints per (source) tuple.
-  /// SortTuples only: when non-empty, one bit width per tuple component
-  /// (size() == Arity) selecting the packed-key radix lowering — each tuple
-  /// packs into a single uint64_t key (component d occupies PackWidths[d]
-  /// bits, component 0 most significant, so key order == lexicographic
-  /// tuple order). The factory asserts the widths sum to <= 64. Empty
-  /// selects the comparison merge sort.
+  /// SortUniqueRank only: when non-empty, one bit width per tuple
+  /// component (size() == Arity) selecting the packed-key radix full sort —
+  /// each tuple packs into a single uint64_t key (component d occupies
+  /// PackWidths[d] bits, component 0 most significant, so key order ==
+  /// lexicographic tuple order). The factory checks the widths sum to
+  /// <= 64. Empty selects the comparison merge sort.
   std::vector<int64_t> PackWidths;
-  /// UniquePrefix/HashDistinct only: the destination buffer.
+  /// SortUniqueRank only: leading components the collection order leaves
+  /// unsorted (see sortUniqueRank()); Arity means "sort outright".
+  int64_t OrderedLead = 0;
+  /// UniquePrefix/HashDistinct: the destination buffer. SortUniqueRank: the
+  /// rank buffer (empty for none).
   std::string Buffer2;
   /// UniquePrefix only: ints per destination tuple (the prefix length).
   int64_t Arity2 = 0;
@@ -286,57 +289,43 @@ Stmt yieldScalar(const std::string &Slot, Expr Value);
 Stmt scan(const std::string &Buffer, Expr Length,
           ScanKind Kind = ScanKind::Inclusive, ReduceOp Op = ReduceOp::Add);
 
-/// Sorts the \p Count tuples of \p Buffer in place into lexicographic
-/// order. Tuples are \p Arity consecutive int32 elements each (row-major,
-/// tuple t at Buffer[t*Arity]). The interpreter is the serial oracle; the C
-/// emitter lowers to cvg_sort_tuples, a bottom-up merge sort whose per-width
-/// merge passes parallelize under OpenMP. The output is the fully sorted
-/// sequence — a pure function of the input multiset — so any thread count
-/// (and the interpreter) produce bit-identical buffers. This is the
-/// O(nnz)-memory replacement for dense rank arrays in sorted-ranking
-/// assembly (huge-dimension hyper-sparse tensors).
-Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
-
-/// sortTuples with the packed-key radix lowering: \p PackWidths gives the
-/// bit width of each tuple component (one per component, summing to at most
-/// 64), and every stored coordinate must satisfy 0 <= c < 2^width. The C
-/// emitter lowers to cvg_radix_sort_packed — pack each tuple into one
-/// uint64_t key (component 0 most significant), LSD radix sort with 8-bit
-/// digits (per-partition histograms + a serial digit-offset scan), unpack.
-/// The sorted sequence is the same pure function of the input multiset as
-/// the merge lowering (packed-key order == lexicographic tuple order), so
-/// the serial interpreter stays the bit-exact oracle by construction and
-/// any thread count produces identical buffers. Callers fall back to
-/// sortTuples when extents are unknown or the widths do not fit.
-/// sortTuplesPacked fused with the adjacent-duplicate compaction of
-/// uniqueTuples: sorts, drops duplicate tuples, and declares \p CountVar
-/// (int64) with the unique count — exactly the result of sortTuplesPacked
-/// followed by uniqueTuples, but the C lowering deduplicates the packed
-/// uint64 keys BEFORE unpacking (one compare per adjacent pair instead of
-/// a tuple-compare compaction pass over the unpacked buffer). Equal
-/// packed keys and equal tuples are the same predicate under the width
-/// contract, so the fusion is semantics-preserving by construction.
-///
-/// A non-empty \p RankBuffer names a pre-allocated int32 buffer of
-/// \p Count slots that the sort additionally fills with each slot's rank:
+/// Sorts the \p Count tuples of \p Buffer (\p Arity consecutive int32
+/// elements each, tuple t at Buffer[t*Arity]) into lexicographic order,
+/// drops duplicate tuples, and declares the int64 variable \p CountVar
+/// with the number of distinct tuples kept (they occupy the front of the
+/// buffer, in order). A non-empty \p RankBuffer names a pre-allocated int32
+/// buffer of \p Count slots that additionally receives each slot's rank:
 /// RankBuffer[i] = index of the (pre-sort) tuple at slot i in the deduped
-/// sorted list — exactly what lowerBound over the result returns for that
-/// tuple, precomputed for every slot. The C lowering carries the slot
-/// index as a payload through the radix scatters (no searches); consumers
-/// can then resolve a stored nonzero's position with one load.
-Stmt sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
-                            int64_t Arity, std::vector<int64_t> PackWidths,
-                            const std::string &CountVar,
-                            const std::string &RankBuffer = "");
-
-Stmt sortTuplesPacked(const std::string &Buffer, Expr Count, int64_t Arity,
-                      std::vector<int64_t> PackWidths);
-
-/// Compacts adjacent duplicate tuples of the (sorted) \p Buffer in place
-/// and declares the int64 variable \p CountVar holding the number of
-/// distinct tuples kept. Serial in both backends (a single O(n) pass).
-Stmt uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
-                  const std::string &CountVar);
+/// list — what lowerBound over the result returns for that tuple,
+/// precomputed for every slot, so consumers resolve a stored nonzero's
+/// position with one load instead of a binary search.
+///
+/// \p OrderedLead (in [0, Arity]) is a hint from the planner: the buffer
+/// was collected in an order that, once stably sorted by its first
+/// OrderedLead components, is expected to be fully sorted. The C lowering
+/// (cvg_sort_unique_rank) radix-sorts the slots by those lead components
+/// only (they always pack into 64 bits: each int32 component takes at most
+/// 32 bits, and the factory refuses more than two of them without widths),
+/// verifies the result in one parallel O(Count) pass, and runs the full
+/// sort only when the check fails — so a wrong hint costs time, never
+/// correctness. OrderedLead == Arity skips the check and sorts outright.
+/// The full sort is the packed-key LSD radix when \p PackWidths is
+/// non-empty (one bit width per component, each in [0, 32], summing to at
+/// most 64, and every coordinate must satisfy 0 <= c < 2^width: component
+/// 0 most significant, so unsigned key order == lexicographic order), and
+/// the comparison merge sort otherwise.
+///
+/// Every output — the deduped list, the count and the ranks — is a pure
+/// function of the input multiset and slot contents, whatever path the C
+/// helper takes and however many threads run it, so the interpreter
+/// (which ignores the hint and runs one serial sort) stays the bit-exact
+/// oracle by construction. This is the O(nnz)-memory replacement for dense
+/// rank arrays in sorted-ranking assembly (huge-dimension hyper-sparse
+/// tensors).
+Stmt sortUniqueRank(const std::string &Buffer, Expr Count, int64_t Arity,
+                    std::vector<int64_t> PackWidths, int64_t OrderedLead,
+                    const std::string &CountVar,
+                    const std::string &RankBuffer = "");
 
 /// Compacts the distinct length-\p DstArity prefixes of the \p Count sorted
 /// tuples in \p Src (arity \p SrcArity >= DstArity) into \p Dst, in order,
@@ -359,7 +348,7 @@ Stmt uniquePrefix(const std::string &Src, Expr Count, int64_t SrcArity,
 /// count. Dst must have capacity for Count tuples. The output order is the
 /// first-seen order in both backends (serial insertion), so interpreter and
 /// C agree exactly; callers that need a canonical order sort Dst afterwards
-/// — the hashed-presence ranking variant runs hashDistinct + sortTuples,
+/// — the hashed-presence ranking variant runs hashDistinct + sortUniqueRank,
 /// paying O(distinct log distinct) comparison work instead of
 /// O(nnz log nnz) when duplicates dominate.
 Stmt hashDistinct(const std::string &Src, Expr Count, int64_t Arity,

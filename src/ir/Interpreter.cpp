@@ -422,95 +422,55 @@ void ExecState::exec(const Stmt &S) {
     }
     return;
   }
-  case StmtKind::SortTuples: {
-    // The serial oracle for the C emitter's parallel merge sort: the fully
-    // sorted sequence is a pure function of the input multiset, so both
-    // agree bit-for-bit for any thread count.
+  case StmtKind::SortUniqueRank: {
+    // The serial oracle for cvg_sort_unique_rank. The ordered-lead hint
+    // only changes how the C helper reaches the sorted sequence; the
+    // sequence, its dedup and the ranks are pure functions of the input,
+    // so one index sort here agrees bit-for-bit with every path and
+    // thread count there.
     RuntimeBuffer &Buf = buffer(S->Name);
     if (Buf.Elem != ScalarKind::Int)
-      fail("sort_tuples over a non-integer buffer '" + S->Name + "'");
+      fail("sort_unique_rank over a non-integer buffer '" + S->Name + "'");
     int64_t N = eval(S->A).asInt();
     int64_t R = S->Arity;
     if (N < 0 || N * R > Buf.size())
-      fail(strfmt("sort_tuples range %lld tuples of arity %lld out of "
+      fail(strfmt("sort_unique_rank range %lld tuples of arity %lld out of "
                   "bounds for buffer %s (size %lld)",
                   static_cast<long long>(N), static_cast<long long>(R),
                   S->Name.c_str(), static_cast<long long>(Buf.size())));
+    RuntimeBuffer *Rank = nullptr;
+    if (!S->Buffer2.empty()) {
+      Rank = &buffer(S->Buffer2);
+      if (Rank->Elem != ScalarKind::Int || Rank->size() < N)
+        fail("sort_unique_rank rank buffer '" + S->Buffer2 +
+             "' missing or too small");
+    }
     std::vector<int64_t> Order(static_cast<size_t>(N));
     for (int64_t I = 0; I < N; ++I)
       Order[static_cast<size_t>(I)] = I;
     const std::vector<int32_t> &Ints = Buf.Ints;
+    auto tupleAt = [&](int64_t T) { return Ints.begin() + T * R; };
     std::sort(Order.begin(), Order.end(), [&](int64_t A, int64_t B) {
-      return std::lexicographical_compare(
-          Ints.begin() + A * R, Ints.begin() + (A + 1) * R,
-          Ints.begin() + B * R, Ints.begin() + (B + 1) * R);
+      return std::lexicographical_compare(tupleAt(A), tupleAt(A) + R,
+                                          tupleAt(B), tupleAt(B) + R);
     });
-    std::vector<int32_t> Sorted(static_cast<size_t>(N * R));
-    for (int64_t I = 0; I < N; ++I)
-      std::copy(Ints.begin() + Order[static_cast<size_t>(I)] * R,
-                Ints.begin() + (Order[static_cast<size_t>(I)] + 1) * R,
-                Sorted.begin() + I * R);
-    std::copy(Sorted.begin(), Sorted.end(), Buf.Ints.begin());
-    if (!S->Slot.empty() && !S->Buffer2.empty()) {
-      // Rank scatter: slot i's rank in the deduped list is the number of
-      // distinct tuples at or before its sorted position, minus one.
-      // Equal tuples share a rank, so the tie order inside Order is
-      // irrelevant — same pure function of the multiset as the C payload.
-      RuntimeBuffer &Rank = buffer(S->Buffer2);
-      if (Rank.Elem != ScalarKind::Int || Rank.size() < N)
-        fail("sort_unique_tuples_packed rank buffer '" + S->Buffer2 +
-             "' missing or too small");
-      int64_t U = 0;
-      for (int64_t I = 0; I < N; ++I) {
-        if (I == 0 || !std::equal(Buf.Ints.begin() + I * R,
-                                  Buf.Ints.begin() + (I + 1) * R,
-                                  Buf.Ints.begin() + (I - 1) * R))
-          ++U;
-        Rank.Ints[static_cast<size_t>(Order[static_cast<size_t>(I)])] =
-            static_cast<int32_t>(U - 1);
-      }
-    }
-    if (!S->Slot.empty()) {
-      // Fused form (sortUniqueTuplesPacked): compact adjacent duplicates
-      // and bind the unique count — byte-identical to running the
-      // UniqueTuples compaction below on the sorted buffer.
-      int64_t U = 0;
-      for (int64_t I = 0; I < N; ++I) {
-        if (U > 0 && std::equal(Buf.Ints.begin() + I * R,
-                                Buf.Ints.begin() + (I + 1) * R,
-                                Buf.Ints.begin() + (U - 1) * R))
-          continue;
-        if (U != I)
-          std::copy(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                    Buf.Ints.begin() + U * R);
-        ++U;
-      }
-      Env[S->Slot] = Value::makeInt(U);
-    }
-    return;
-  }
-  case StmtKind::UniqueTuples: {
-    RuntimeBuffer &Buf = buffer(S->Name);
-    if (Buf.Elem != ScalarKind::Int)
-      fail("unique_tuples over a non-integer buffer '" + S->Name + "'");
-    int64_t N = eval(S->A).asInt();
-    int64_t R = S->Arity;
-    if (N < 0 || N * R > Buf.size())
-      fail(strfmt("unique_tuples range %lld tuples of arity %lld out of "
-                  "bounds for buffer %s (size %lld)",
-                  static_cast<long long>(N), static_cast<long long>(R),
-                  S->Name.c_str(), static_cast<long long>(Buf.size())));
+    // Keep the first tuple of every run of equal tuples; slot i's rank is
+    // the number of distinct tuples at or before its sorted position,
+    // minus one. Equal tuples share a rank, so the tie order inside Order
+    // is irrelevant.
+    std::vector<int32_t> Kept;
     int64_t U = 0;
     for (int64_t I = 0; I < N; ++I) {
-      if (U > 0 &&
-          std::equal(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                     Buf.Ints.begin() + (U - 1) * R))
-        continue;
-      if (U != I)
-        std::copy(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                  Buf.Ints.begin() + U * R);
-      ++U;
+      int64_t T = Order[static_cast<size_t>(I)];
+      if (I == 0 || !std::equal(tupleAt(T), tupleAt(T) + R,
+                                tupleAt(Order[static_cast<size_t>(I - 1)]))) {
+        Kept.insert(Kept.end(), tupleAt(T), tupleAt(T) + R);
+        ++U;
+      }
+      if (Rank)
+        Rank->Ints[static_cast<size_t>(T)] = static_cast<int32_t>(U - 1);
     }
+    std::copy(Kept.begin(), Kept.end(), Buf.Ints.begin());
     Env[S->Slot] = Value::makeInt(U);
     return;
   }

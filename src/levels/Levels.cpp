@@ -270,28 +270,26 @@ public:
   /// Builds this level's sorted unique tuple list from the source in
   /// O(nnz) memory: collect the grouping tuple (dims 0..Dim) of every
   /// stored nonzero into an append buffer (one slot per stored position,
-  /// so the pass parallelizes with disjoint writes), then either
-  /// sort + unique (plain sorted ranking), or — under the hashed-presence
-  /// variant — dedup through an open-addressing hash table first and sort
-  /// only the distinct tuples, which wins when duplicates dominate the
-  /// collected multiset. Both orders of operations produce the identical
-  /// sorted unique list, so downstream pos/crd/position code never knows
-  /// the difference.
+  /// so the pass parallelizes with disjoint writes), then sort + unique
+  /// (plain sorted ranking), or — under the hashed-presence variant —
+  /// dedup through an open-addressing hash table first and sort only the
+  /// distinct tuples, which wins when duplicates dominate the collected
+  /// multiset. Both orders of operations produce the identical sorted
+  /// unique list, so downstream pos/crd/position code never knows the
+  /// difference. Either way the sort is told the planner's ordered lead:
+  /// the collection (and the hash table's first-seen order) follows the
+  /// source's iteration order, so only the lead components may need
+  /// sorting.
   void emitListBuild(AsmCtx &Ctx, ir::BlockBuilder &Out) const {
     int64_t R = Spec.Dim + 1;
     ir::Expr RImm = ir::intImm(R);
     std::string Srt = Ctx.srtName(K);
     std::string U = Ctx.uniqueVar(K);
-    // Packed radix lowering when the planner derived component widths for
+    // Packed radix full sort when the planner derived component widths for
     // every grouping dim (any prefix of a 64-bit-packable full tuple fits).
-    auto sortCall = [&](const std::string &Buf, ir::Expr Count) {
-      if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R)
-        return ir::sortTuplesPacked(
-            Buf, std::move(Count), R,
-            std::vector<int64_t>(Ctx.PackWidths.begin(),
-                                 Ctx.PackWidths.begin() + R));
-      return ir::sortTuples(Buf, std::move(Count), R);
-    };
+    std::vector<int64_t> Widths;
+    if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R)
+      Widths.assign(Ctx.PackWidths.begin(), Ctx.PackWidths.begin() + R);
     std::string Collect =
         Hashed ? "B" + std::to_string(K) + "_tup" : Srt;
     Out.add(ir::comment(
@@ -314,35 +312,27 @@ public:
     // Sub-phase clocks (slots 4/5 of <fn>_phase_seconds): sort-vs-assembly
     // time stays visible in the bench trajectory without re-instrumenting.
     Out.add(ir::phaseMark(4, "tuple collect"));
+    ir::Expr Count = Ctx.StoredSize;
+    std::string Rank;
     if (Hashed) {
+      std::string Distinct = "hB" + std::to_string(K);
       Out.add(ir::alloc(Srt, ir::ScalarKind::Int,
                         ir::mul(Ctx.StoredSize, RImm), false));
-      Out.add(ir::hashDistinct(Collect, Ctx.StoredSize, R, Srt, U));
+      Out.add(ir::hashDistinct(Collect, Ctx.StoredSize, R, Srt, Distinct));
       Out.add(ir::freeBuffer(Collect));
-      Out.add(sortCall(Srt, ir::var(U)));
-    } else if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R) {
-      // Fused form: dedup runs on the sorted packed keys before they are
-      // unpacked, skipping a tuple-compare pass over 3x the bytes. When
-      // this list covers the full coordinate order, the sort also carries
-      // each stored nonzero's slot as a payload and scatters its rank —
-      // the destination position insertion would otherwise binary-search
-      // for, one search per nonzero (the dominant insertion cost).
-      std::string Rank;
-      if (R == static_cast<int64_t>(Ctx.Bounds.size())) {
-        Rank = "B" + std::to_string(K) + "_rank";
-        Out.add(ir::alloc(Rank, ir::ScalarKind::Int, Ctx.StoredSize, false));
-        Ctx.RankBuffer = Rank;
-        Ctx.RankLevel = K;
-      }
-      Out.add(ir::sortUniqueTuplesPacked(
-          Srt, Ctx.StoredSize, R,
-          std::vector<int64_t>(Ctx.PackWidths.begin(),
-                               Ctx.PackWidths.begin() + R),
-          U, Rank));
-    } else {
-      Out.add(sortCall(Srt, Ctx.StoredSize));
-      Out.add(ir::uniqueTuples(Srt, Ctx.StoredSize, R, U));
+      Count = ir::var(Distinct);
+    } else if (R == static_cast<int64_t>(Ctx.Bounds.size())) {
+      // A list over the full coordinate order also scatters each stored
+      // nonzero's rank — the destination position insertion would
+      // otherwise binary-search for, one search per nonzero.
+      Rank = "B" + std::to_string(K) + "_rank";
+      Out.add(ir::alloc(Rank, ir::ScalarKind::Int, Ctx.StoredSize, false));
+      Ctx.RankBuffer = Rank;
+      Ctx.RankLevel = K;
     }
+    Out.add(ir::sortUniqueRank(Srt, Count, R, std::move(Widths),
+                               Ctx.OrderedLead.at(static_cast<size_t>(K)), U,
+                               Rank));
     Out.add(ir::phaseMark(5, "list sort"));
   }
 
@@ -372,8 +362,10 @@ public:
   ///      lowering — no serial forward fill);
   ///   4. write the crd array straight from the unique list.
   ///
-  /// get_pos at insertion time is then a pure binary search (ir::lowerBound)
-  /// into the list, so insertion stays order-independent and parallel-safe.
+  /// get_pos at insertion time is then one load from the rank buffer the
+  /// sort scattered (full-order lists) or a pure binary search
+  /// (ir::lowerBound) into the list, so insertion stays order-independent
+  /// and parallel-safe.
   void emitSortedInit(AsmCtx &Ctx, ir::Expr ParentSize,
                       ir::BlockBuilder &Out) const {
     int64_t R = Spec.Dim + 1;

@@ -152,9 +152,15 @@ struct AsmCtx {
   /// PackedSort): bit width per destination dimension, in dimension order.
   /// Non-empty only when every extent is known and the full-order tuple
   /// packs into 64 bits, so any grouping prefix fits too; sorted levels
-  /// then lower their sorts through ir::sortTuplesPacked. Empty keeps the
-  /// comparison merge sort.
+  /// then pass the widths to ir::sortUniqueRank, whose full sort becomes
+  /// the packed radix. Empty keeps the comparison merge sort.
   std::vector<int64_t> PackWidths;
+
+  /// Per 1-based level (index 0 unused): the sorted level's ordered lead
+  /// (codegen::AssemblyPlan::OrderedLead), passed to ir::sortUniqueRank
+  /// as the hint that only that many leading tuple components need
+  /// sorting after collection in source order.
+  std::vector<int64_t> OrderedLead;
 
   /// 1-based levels whose parent position, inside the sorted pos build,
   /// equals the rank of the tuple's dims 0..Dim-1 prefix among the
@@ -165,13 +171,12 @@ struct AsmCtx {
   /// per-block-end binary searches. Index 0 unused.
   std::vector<bool> PrefixRankParent;
 
-  /// Rank-scatter insertion (packed plans, full-order sorted list only):
-  /// name of an nnz-sized int32 buffer mapping every stored source
-  /// position to its tuple's rank in level RankLevel's sorted unique
-  /// list, filled by the fused packed sort carrying the source slot as a
-  /// payload. Coordinate insertion then resolves the deepest position
-  /// with one load per nonzero instead of a binary search over the list.
-  /// Empty when unavailable (unpacked, hashed, or partial-arity list).
+  /// Rank-scatter insertion (full-order sorted list only): name of an
+  /// nnz-sized int32 buffer mapping every stored source position to its
+  /// tuple's rank in level RankLevel's sorted unique list, scattered by
+  /// ir::sortUniqueRank. Coordinate insertion then resolves the deepest
+  /// position with one load per nonzero instead of a binary search over
+  /// the list. Empty when unavailable (hashed or partial-arity list).
   std::string RankBuffer;
   int RankLevel = 0;
 

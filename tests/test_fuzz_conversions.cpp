@@ -21,6 +21,15 @@
 // the defaults; the per-push CI legs run the default smoke count, the
 // nightly leg a larger count with a date-rotated seed under ASan.
 //
+// COO sources are legally unordered (csc -> coo yields column-major coo),
+// so COO-source cases whose plan does not validate source order shuffle
+// the entries (always for sorted plans, half the time otherwise): sorted
+// levels then fail their ordered-lead check and take the full-sort
+// fallback, packed or merge. A
+// CONVGEN_SORT_STRATEGY set in the environment pins that lowering for
+// every case instead of the per-case draw (the sanitizer leg runs the
+// harness once more under "merge").
+//
 // --threads=N (or CONVGEN_FUZZ_THREADS) additionally runs the same case
 // stream concurrently from N threads through the shared PlanCache — the
 // concurrency stress the TSan leg drives. Concurrent cases use the
@@ -97,7 +106,29 @@ struct FuzzStats {
   int Ran = 0;
   int Skipped = 0;
   int JitCompared = 0;
+  int Shuffled = 0; ///< Cases run on a shuffled COO source.
 };
+
+/// Applies one random permutation to a COO tensor's entries: every
+/// coordinate array (the non-unique root's crd and the singleton levels')
+/// and the values move together, so the tensor stays the same set of
+/// nonzeros in a different stored order.
+void shuffleCooEntries(tensor::SparseTensor &T, std::mt19937_64 &Rng) {
+  size_t N = static_cast<size_t>(T.storedSize());
+  std::vector<size_t> Perm(N);
+  for (size_t I = 0; I < N; ++I)
+    Perm[I] = I;
+  for (size_t I = N; I > 1; --I)
+    std::swap(Perm[I - 1], Perm[static_cast<size_t>(Rng() % I)]);
+  for (tensor::LevelStorage &L : T.Levels) {
+    std::vector<int32_t> Crd(L.Crd.begin(), L.Crd.end());
+    for (size_t I = 0; I < N; ++I)
+      L.Crd[I] = Crd[Perm[I]];
+  }
+  std::vector<double> Vals(T.Vals.begin(), T.Vals.end());
+  for (size_t I = 0; I < N; ++I)
+    T.Vals[I] = Vals[Perm[I]];
+}
 
 /// Exact structural equality of two tensors in the same format (the
 /// bit-compare the JIT leg uses; triplet equality would hide layout
@@ -189,14 +220,16 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   // (and auto under the tiny-budget profiles) exercises the packed sort
   // differentially against the interpreter's comparison sort; "merge"
   // pins the comparison path even where keys fit.
-  const char *SortStrategy = "ambient";
-  if (!Concurrent) {
+  const char *Pinned = std::getenv("CONVGEN_SORT_STRATEGY");
+  std::string SortStrategy =
+      Pinned ? std::string(Pinned) + " (environment)" : "ambient";
+  if (!Concurrent && !Pinned) {
     static const char *Strategies[] = {"auto", "merge", "radix"};
     SortStrategy = Strategies[Pick(3)];
-    Knobs.push_back(
-        std::make_unique<ScopedEnv>("CONVGEN_SORT_STRATEGY", SortStrategy));
+    Knobs.push_back(std::make_unique<ScopedEnv>("CONVGEN_SORT_STRATEGY",
+                                                SortStrategy.c_str()));
   }
-  SCOPED_TRACE(strfmt("CONVGEN_SORT_STRATEGY=%s", SortStrategy));
+  SCOPED_TRACE("CONVGEN_SORT_STRATEGY=" + SortStrategy);
 
   if (FuzzFaults && !Concurrent) {
     static const char *Sites[] = {"compile",    "dlopen",      "dlsym",
@@ -246,6 +279,17 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   }
 
   tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+  // Sorted plans always take the shuffle (it is their fallback that needs
+  // the coverage); other order-agnostic plans half the time.
+  codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Dst, Dims);
+  bool Shuffled = SrcName.rfind("coo", 0) == 0 && In.storedSize() > 1 &&
+                  Plan.LexCheckLevels == 0 &&
+                  (Plan.anySorted() || Pick(2) == 0);
+  if (Shuffled) {
+    shuffleCooEntries(In, Rng);
+    ++Stats.Shuffled;
+  }
+  SCOPED_TRACE(Shuffled ? "source entries shuffled" : "source in order");
   convert::Converter Conv(Src, Dst);
   tensor::SparseTensor Out = Conv.run(In);
   Out.validate();
@@ -305,9 +349,9 @@ TEST(FuzzConversions, RandomizedDifferentialAgainstTheOracle) {
     if (::testing::Test::HasFatalFailure())
       break;
   }
-  std::printf("[  fuzz    ] %d cases run, %d unsupported-pair skips, "
-              "%d JIT bit-compared (seed 0x%llx)\n",
-              Stats.Ran, Stats.Skipped, Stats.JitCompared,
+  std::printf("[  fuzz    ] %d cases run (%d on shuffled coo sources), %d "
+              "unsupported-pair skips, %d JIT bit-compared (seed 0x%llx)\n",
+              Stats.Ran, Stats.Shuffled, Stats.Skipped, Stats.JitCompared,
               static_cast<unsigned long long>(FuzzSeed));
   if (FuzzFaults || support::faultsConfigured())
     std::printf("[  fuzz    ] faults injected: %llu; degradations: %s\n",

@@ -118,10 +118,11 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
   Opts.DimsHint = hugeDims();
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
-  // Counted textually like the no-extent-malloc assertion: call sites
-  // reference a B<k>_srt buffer, so "cvg_sort_tuples(B" never matches the
-  // helper definition. One shared full-arity sort; the two ancestor levels
-  // derive their lists by prefix compaction instead of re-sorting.
+  // Counted textually like the no-extent-malloc assertion: call sites pass
+  // a B<k>_srt buffer's address, so "cvg_sort_unique_rank(&B" never
+  // matches the helper definition. One shared full-arity sort; the two
+  // ancestor levels derive their lists by prefix compaction instead of
+  // re-sorting.
   auto count = [&](const char *Needle) {
     size_t Hits = 0;
     for (size_t At = Code.find(Needle); At != std::string::npos;
@@ -129,7 +130,7 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
       ++Hits;
     return Hits;
   };
-  EXPECT_EQ(count("cvg_sort_tuples(B"), 1u) << Code;
+  EXPECT_EQ(count("cvg_sort_unique_rank(&B"), 1u) << Code;
   EXPECT_EQ(count("cvg_unique_prefix(B"), 2u) << Code;
   // The pos construction's gap fill is the blocked parallel max scan, not
   // the old serial forward loop (whose stores indexed pos by the fill
@@ -151,8 +152,11 @@ TEST(SortedRankingPlan, ForcedHashedSelectsHashDistinct) {
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
   EXPECT_NE(Code.find("cvg_hash_distinct(B"), std::string::npos) << Code;
-  // The sort then touches only the distinct tuples the table kept.
-  EXPECT_NE(Code.find("cvg_sort_tuples(B3_srt, uB3, 3)"), std::string::npos)
+  // The sort then touches only the distinct tuples the table kept (still
+  // in source order, so lead 0; no rank payload for distinct slots).
+  EXPECT_NE(Code.find("uB3 = cvg_sort_unique_rank(&B3_srt, hB3, 3, 0, NULL, "
+                      "NULL)"),
+            std::string::npos)
       << Code;
 }
 
@@ -197,19 +201,25 @@ TEST(SortedRankingPlan, SingleSortedLevelNeedsNoSharing) {
   Opts.DimsHint = {100, 100};
   codegen::Conversion Conv = codegen::generateConversion(Coo, Csr, Opts);
   // At {100,100} the coordinate tuple packs into 14 bits, so auto lowers
-  // the level's sort to the packed radix variant.
-  EXPECT_NE(Conv.cSource().find("cvg_radix_sort_packed(B2_srt"),
-            std::string::npos);
+  // the level's full sort to the packed radix variant; coo's row-major
+  // order leaves no lead to sort.
+  EXPECT_NE(Conv.cSource().find("cvg_sort_unique_rank(&B2_srt, A1_pos[1], 2, "
+                                "0, (const int64_t[]){7,7}, B2_rank)"),
+            std::string::npos)
+      << Conv.cSource();
   // No prefix derivation anywhere (the prelude always defines the helper;
   // only call sites reference a B<k>_srt buffer).
   EXPECT_EQ(Conv.cSource().find("cvg_unique_prefix(B"), std::string::npos);
-  // Forcing merge restores the comparison sort at the same dims.
+  // Forcing merge restores the comparison full sort at the same dims.
   ScopedEnv Merge("CONVGEN_SORT_STRATEGY", "merge");
   codegen::Conversion MConv = codegen::generateConversion(Coo, Csr, Opts);
-  EXPECT_NE(MConv.cSource().find("cvg_sort_tuples(B2_srt"),
+  EXPECT_NE(MConv.cSource().find("cvg_sort_unique_rank(&B2_srt, A1_pos[1], "
+                                 "2, 0, NULL, B2_rank)"),
+            std::string::npos)
+      << MConv.cSource();
+  EXPECT_NE(MConv.cSource().find("static void cvg_sort_tuples"),
             std::string::npos);
-  EXPECT_EQ(MConv.cSource().find("cvg_radix_sort_packed("),
-            std::string::npos);
+  EXPECT_EQ(MConv.cSource().find("cvg_radix_gather"), std::string::npos);
 }
 
 TEST(SortedRankingPlan, NoSharedSortKnobForcesPerLevelSorts) {
@@ -223,8 +233,9 @@ TEST(SortedRankingPlan, NoSharedSortKnobForcesPerLevelSorts) {
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
   size_t Sorts = 0;
-  for (size_t At = Code.find("cvg_sort_tuples(B"); At != std::string::npos;
-       At = Code.find("cvg_sort_tuples(B", At + 1))
+  for (size_t At = Code.find("cvg_sort_unique_rank(&B");
+       At != std::string::npos;
+       At = Code.find("cvg_sort_unique_rank(&B", At + 1))
     ++Sorts;
   EXPECT_EQ(Sorts, 3u) << Code;
 }
@@ -308,53 +319,91 @@ TEST(PackedSortCodegen, SharedSortLowersToOnePackedRadixCall) {
       ++Hits;
     return Hits;
   };
-  // One shared full-arity sort, lowered to the packed radix variant; the
-  // comparison merge sort is not called anywhere.
-  EXPECT_EQ(count("cvg_radix_sort_packed(B3_srt"), 1u) << Code;
-  EXPECT_EQ(count("cvg_sort_tuples(B"), 0u) << Code;
-  // The readable view names the (fused) lowering and the per-dim widths.
-  EXPECT_NE(Conv.pretty().find("sort_unique_tuples_packed"),
-            std::string::npos);
-  EXPECT_NE(Conv.pretty().find("bits=[24,20,20]"), std::string::npos);
+  // One shared full-arity sort whose full-sort lowering is the packed
+  // radix; the comparison merge sort is not emitted anywhere.
+  EXPECT_EQ(count("cvg_sort_unique_rank(&B3_srt"), 1u) << Code;
+  EXPECT_EQ(count("(const int64_t[]){24,20,20}, B3_rank)"), 1u) << Code;
+  EXPECT_EQ(count("cvg_sort_tuples"), 0u) << Code;
+  // The readable view names the lowering, the lead and the per-dim widths.
+  EXPECT_NE(Conv.pretty().find("sort_unique_rank(B3_srt, A1_pos[1], 3, "
+                               "lead=0, bits=[24,20,20], rank=B3_rank)"),
+            std::string::npos)
+      << Conv.pretty();
 }
 
 TEST(PackedSortCodegen, SortedChainPosBuildEmitsZeroSearches) {
   // The acceptance pin for the search-free construction: in the csf chain
   // every level's parent is the sorted level one dim narrower, so parent
-  // positions come from prefix-change flags + an additive scan. On the
-  // unpacked plan the ONLY surviving binary search is the insertion-time
-  // deepest rank over B3_srt, once per nonzero; the packed plan
-  // precomputes even that via the sort's rank payload, leaving ZERO
-  // searches anywhere in the routine.
+  // positions come from prefix-change flags + an additive scan, and the
+  // anchor's sort scatters every nonzero's deepest rank — packed or not —
+  // so insertion reads it with one load. No binary search survives
+  // anywhere in the routine (the search helpers are not even emitted), on
+  // coo3 -> csf and on the mode-permuting csf -> csf_102 alike.
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
+  formats::Format Csf102 = formats::standardFormatOrDie("csf_102");
   for (const std::vector<int64_t> &Dims : {packedDims(), hugeDims()}) {
-    bool Packed = Dims == packedDims();
-    codegen::Options Opts;
-    Opts.DimsHint = Dims;
-    codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
-    std::string Code = Conv.cSource();
-    auto count = [&](const char *Needle) {
-      size_t Hits = 0;
-      for (size_t At = Code.find(Needle); At != std::string::npos;
-           At = Code.find(Needle, At + 1))
-        ++Hits;
-      return Hits;
-    };
-    EXPECT_EQ(count("cvg_lower_bound(B1_srt"), 0u) << Code;
-    EXPECT_EQ(count("cvg_lower_bound(B2_srt"), 0u) << Code;
-    EXPECT_EQ(count("cvg_lower_bound_packed(B1_srt"), 0u) << Code;
-    EXPECT_EQ(count("cvg_lower_bound_packed(B2_srt"), 0u) << Code;
-    // The unpacked huge-dims plan keeps one tuple-compare search for the
-    // insertion-time deepest rank; the packed plan reads the rank array
-    // the fused sort scattered and searches nowhere at all.
-    EXPECT_EQ(count("cvg_lower_bound_packed(B3_srt"), 0u) << Code;
-    EXPECT_EQ(count("cvg_lower_bound(B3_srt"), Packed ? 0u : 1u) << Code;
-    EXPECT_EQ(count("B3_rank[pA1]"), Packed ? 1u : 0u) << Code;
-    // The flag + scan machinery is present for both derived levels.
-    EXPECT_EQ(count("inclusive scan of B2_pfx"), 1u) << Code;
-    EXPECT_EQ(count("inclusive scan of B3_pfx"), 1u) << Code;
+    for (const formats::Format *Src : {&Coo3, &Csf}) {
+      const formats::Format &Dst = Src == &Coo3 ? Csf : Csf102;
+      codegen::Options Opts;
+      Opts.DimsHint = Dims;
+      codegen::Conversion Conv = codegen::generateConversion(*Src, Dst, Opts);
+      std::string Code = Conv.cSource();
+      auto count = [&](const char *Needle) {
+        size_t Hits = 0;
+        for (size_t At = Code.find(Needle); At != std::string::npos;
+             At = Code.find(Needle, At + 1))
+          ++Hits;
+        return Hits;
+      };
+      std::string What = Src->Name + " -> " + Dst.Name +
+                         (Dims == packedDims() ? " packed" : " huge");
+      EXPECT_EQ(count("cvg_lower_bound"), 0u) << What << "\n" << Code;
+      EXPECT_EQ(count("B3_rank[pA"), 1u) << What << "\n" << Code;
+      if (Src == &Coo3) {
+        // The flag + scan machinery is present for both derived levels.
+        EXPECT_EQ(count("inclusive scan of B2_pfx"), 1u) << What;
+        EXPECT_EQ(count("inclusive scan of B3_pfx"), 1u) << What;
+      }
+    }
   }
+}
+
+TEST(OrderedLeadPlan, SortsOnlyWhatTheSourceOrderLeavesUnsorted) {
+  // The lead is the number of leading anchor-tuple components a stable
+  // sort must order before the source's iteration order finishes the job:
+  // none when the orders agree, the permuted-in mode for csf -> csf_102,
+  // two for csf -> csf_021 (j must move behind k), and for a 2-level csc
+  // source feeding csr the row coordinate.
+  auto leadOf = [](const char *Src, const char *Dst,
+                   std::vector<int64_t> Dims) {
+    codegen::AssemblyPlan Plan =
+        codegen::planAssembly(formats::standardFormatOrDie(Src),
+                              formats::standardFormatOrDie(Dst), Dims);
+    EXPECT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
+    EXPECT_TRUE(Plan.Sorted.back()) << Src << " -> " << Dst;
+    return Plan.OrderedLead.back();
+  };
+  for (const std::vector<int64_t> &Dims : {packedDims(), hugeDims()}) {
+    EXPECT_EQ(leadOf("coo3", "csf", Dims), 0);
+    EXPECT_EQ(leadOf("csf", "csf", Dims), 0);
+    EXPECT_EQ(leadOf("csf", "csf_102", Dims), 1);
+    EXPECT_EQ(leadOf("coo3", "csf_102", Dims), 1);
+    EXPECT_EQ(leadOf("csf", "csf_021", Dims), 2);
+    EXPECT_EQ(leadOf("csf_102", "csf", Dims), 1);
+  }
+  ScopedEnv Budget("CONVGEN_RANK_DENSE_MAX_BYTES", "1");
+  EXPECT_EQ(leadOf("csc", "csr", {100, 100}), 1);
+  EXPECT_EQ(leadOf("coo", "csr", {100, 100}), 0);
+  // The lead travels into the emitted call.
+  codegen::Options Opts;
+  Opts.DimsHint = hugeDims();
+  std::string Code =
+      codegen::generateConversion(formats::standardFormatOrDie("csf"),
+                                  formats::standardFormatOrDie("csf_102"),
+                                  Opts)
+          .cSource();
+  EXPECT_NE(Code.find(", 3, 1, NULL, B3_rank);"), std::string::npos) << Code;
 }
 
 TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
@@ -374,7 +423,7 @@ TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
   codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
   ASSERT_EQ(Opts.DimsHint, Dims);
   auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
-  ASSERT_NE(Native->conversion().cSource().find("cvg_radix_sort_packed"),
+  ASSERT_NE(Native->conversion().cSource().find("static int32_t *cvg_radix_gather"),
             std::string::npos);
   for (int Threads : {1, 4}) {
     setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);
@@ -452,10 +501,15 @@ TEST(SortedRankingCodegen, AllAllocationsAreNnzSizedNotExtentSized) {
   Opts.DimsHint = hugeDims();
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
-  // The sorted machinery is present; the dense ranking machinery is not.
-  EXPECT_NE(Code.find("cvg_sort_tuples"), std::string::npos) << Code;
-  EXPECT_NE(Code.find("cvg_unique_tuples"), std::string::npos) << Code;
-  EXPECT_NE(Code.find("cvg_lower_bound"), std::string::npos) << Code;
+  // The sorted machinery is present (the order-aware sort with its merge
+  // fallback, the nnz-sized rank payload); the dense ranking machinery and
+  // every binary search are not.
+  EXPECT_NE(Code.find("cvg_sort_unique_rank(&B3_srt"), std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("static void cvg_sort_tuples"), std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("B3_rank[pA1]"), std::string::npos) << Code;
+  EXPECT_EQ(Code.find("cvg_lower_bound"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("_rnk"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("present"), std::string::npos) << Code;
   // The acceptance property: no allocation in the routine is sized by a
@@ -521,7 +575,7 @@ TEST(SortedRankingJit, Coo3ToCsfBitIdenticalAtOneAndFourThreads) {
   codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
   ASSERT_EQ(Opts.DimsHint, Dims);
   auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
-  EXPECT_TRUE(Native->conversion().cSource().find("cvg_sort_tuples") !=
+  EXPECT_TRUE(Native->conversion().cSource().find("cvg_sort_unique_rank(&B") !=
               std::string::npos);
   for (int Threads : {1, 4}) {
     setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);

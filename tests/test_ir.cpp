@@ -3,11 +3,19 @@
 // interpreter semantics, and the C emitter.
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Generator.h"
 #include "ir/CEmitter.h"
 #include "ir/IR.h"
 #include "ir/Interpreter.h"
+#include "jit/Jit.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace convgen;
 using namespace convgen::ir;
@@ -473,45 +481,194 @@ TEST(IrCEmit, EmitsCompleteTranslationUnit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sorted-ranking constructs: sortTuples / uniqueTuples / lowerBound
+// Sorted-ranking constructs: sortUniqueRank / lowerBound
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Runs sort + unique over the tuples and returns (kept tuples, count).
-std::pair<std::vector<int32_t>, int64_t>
-runSortUnique(std::vector<int32_t> Data, int64_t N, int64_t Arity) {
+/// One sortUniqueRank configuration: the IR function copies dim0 tuples of
+/// A1_crd into a work buffer, sorts + dedups + ranks it, and also computes
+/// every input slot's lowerBound in the result — so one run yields the
+/// list (B1_crd), the count (B1_param), the scattered ranks (B2_crd) and
+/// the binary-search ranks they must equal (B3_crd).
+Function sortUniqueRankFunction(int64_t Arity, std::vector<int64_t> Widths,
+                                int64_t Lead) {
+  Expr N = var("dim0");
   BlockBuilder B;
-  B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
-  B.add(forRange("i", intImm(0), intImm(N * Arity),
-                 store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuples("buf", intImm(N), Arity));
-  B.add(uniqueTuples("buf", intImm(N), Arity, "u"));
+  B.add(alloc("buf", ScalarKind::Int, mul(N, intImm(Arity)), false));
+  B.add(forRange("i", intImm(0), mul(N, intImm(Arity)),
+                 store("buf", var("i"), load("A1_crd", var("i")))));
+  B.add(alloc("rank", ScalarKind::Int, N, false));
+  B.add(sortUniqueRank("buf", N, Arity, std::move(Widths), Lead, "u",
+                       "rank"));
+  std::vector<Expr> Key;
+  for (int64_t D = 0; D < Arity; ++D)
+    Key.push_back(load("A1_crd", add(mul(var("s"), intImm(Arity)),
+                                     intImm(D))));
+  B.add(alloc("lb", ScalarKind::Int, N, false));
+  B.add(forRange("s", intImm(0), N,
+                 store("lb", var("s"), lowerBound("buf", var("u"), Key))));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(Arity))));
+  B.add(yieldBuffer("B2_crd", "rank", N));
+  B.add(yieldBuffer("B3_crd", "lb", N));
   B.add(yieldScalar("B1_param", var("u")));
-  Function F{"dosort", {{"in", ScalarKind::Int, true}}, B.build()};
+  return Function{"sort_unique_rank_test",
+                  {{"dim0", ScalarKind::Int, false},
+                   {"A1_crd", ScalarKind::Int, true}},
+                  B.build()};
+}
+
+struct SortUniqueRankOut {
+  std::vector<int32_t> List, Rank, Search;
+  int64_t Unique = -1;
+};
+
+SortUniqueRankOut interpretSortUniqueRank(const Function &F,
+                                          std::vector<int32_t> Data,
+                                          int64_t N) {
   Interpreter Interp;
-  Interp.bindIntBuffer("in", std::move(Data));
+  Interp.bindScalar("dim0", N);
+  Interp.bindIntBuffer("A1_crd", std::move(Data));
   RunResult R = Interp.run(F);
-  return {R.Buffers["B1_crd"].Ints, R.Scalars["B1_param"]};
+  return {R.Buffers["B1_crd"].Ints, R.Buffers["B2_crd"].Ints,
+          R.Buffers["B3_crd"].Ints, R.Scalars["B1_param"]};
+}
+
+/// The expected result, computed without the IR: the sorted distinct
+/// tuples and, per slot, the index of its tuple among them.
+SortUniqueRankOut expectedSortUniqueRank(const std::vector<int32_t> &Data,
+                                         int64_t N, int64_t Arity) {
+  std::vector<std::vector<int32_t>> Tuples;
+  for (int64_t I = 0; I < N; ++I)
+    Tuples.emplace_back(Data.begin() + I * Arity,
+                        Data.begin() + (I + 1) * Arity);
+  std::vector<std::vector<int32_t>> Sorted = Tuples;
+  std::sort(Sorted.begin(), Sorted.end());
+  Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
+  SortUniqueRankOut Out;
+  Out.Unique = static_cast<int64_t>(Sorted.size());
+  for (const std::vector<int32_t> &T : Sorted)
+    Out.List.insert(Out.List.end(), T.begin(), T.end());
+  for (const std::vector<int32_t> &T : Tuples)
+    Out.Rank.push_back(static_cast<int32_t>(
+        std::lower_bound(Sorted.begin(), Sorted.end(), T) - Sorted.begin()));
+  Out.Search = Out.Rank;
+  return Out;
+}
+
+/// Deterministic tuple sets in the orders the ordered lead must handle.
+enum class Arrangement {
+  Presorted,    ///< Fully lexicographic: lead 0's verify passes.
+  LeadOrdered,  ///< Sorted by components 1.. (csf -> csf_102's collection
+                ///< order): a stable sort by component 0 completes it.
+  SortedByLead, ///< Sorted by component 0 only, the rest shuffled: lead 1's
+                ///< verify fails and the full sort runs.
+  Shuffled,     ///< No order at all.
+};
+
+std::vector<int32_t> makeTuples(int64_t N, int64_t Arity, uint32_t Max,
+                                Arrangement How, uint32_t Seed) {
+  std::vector<std::vector<int32_t>> T(static_cast<size_t>(N));
+  uint64_t S = Seed;
+  auto next = [&] {
+    S = S * 6364136223846793005ull + 1442695040888963407ull;
+    return S >> 16;
+  };
+  for (std::vector<int32_t> &Tuple : T)
+    for (int64_t D = 0; D < Arity; ++D)
+      Tuple.push_back(static_cast<int32_t>(next() % (uint64_t(Max) + 1)));
+  auto byRest = [](const std::vector<int32_t> &A,
+                   const std::vector<int32_t> &B) {
+    return std::lexicographical_compare(A.begin() + 1, A.end(),
+                                        B.begin() + 1, B.end());
+  };
+  switch (How) {
+  case Arrangement::Presorted:
+    std::sort(T.begin(), T.end());
+    break;
+  case Arrangement::LeadOrdered:
+    std::sort(T.begin(), T.end(), byRest);
+    break;
+  case Arrangement::SortedByLead:
+    std::sort(T.begin(), T.end(), byRest);
+    std::stable_sort(T.begin(), T.end(),
+                     [](const std::vector<int32_t> &A,
+                        const std::vector<int32_t> &B) { return A[0] < B[0]; });
+    // Reverse the tail of every lead group so the rest is out of order.
+    for (size_t I = 0; I < T.size();) {
+      size_t J = I;
+      while (J < T.size() && T[J][0] == T[I][0])
+        ++J;
+      std::reverse(T.begin() + static_cast<std::ptrdiff_t>(I),
+                   T.begin() + static_cast<std::ptrdiff_t>(J));
+      I = J;
+    }
+    break;
+  case Arrangement::Shuffled:
+    for (size_t I = T.size(); I > 1; --I)
+      std::swap(T[I - 1], T[static_cast<size_t>(next() % I)]);
+    break;
+  }
+  std::vector<int32_t> Flat;
+  for (const std::vector<int32_t> &Tuple : T)
+    Flat.insert(Flat.end(), Tuple.begin(), Tuple.end());
+  return Flat;
+}
+
+void expectSame(const SortUniqueRankOut &Got, const SortUniqueRankOut &Want,
+                const std::string &What) {
+  EXPECT_EQ(Got.Unique, Want.Unique) << What;
+  EXPECT_EQ(Got.List, Want.List) << What;
+  EXPECT_EQ(Got.Rank, Want.Rank) << What;
+  // The scattered rank of every slot is exactly what lowerBound returns.
+  EXPECT_EQ(Got.Search, Got.Rank) << What;
 }
 
 } // namespace
 
-TEST(IrSortedRanking, SortUniqueInterpreterSemantics) {
+TEST(IrSortedRanking, SortUniqueRankInterpreterSemantics) {
   // Pairs with duplicates, given unsorted: (2,1) (0,5) (2,1) (0,3) (2,0).
-  auto [Kept, U] = runSortUnique({2, 1, 0, 5, 2, 1, 0, 3, 2, 0}, 5, 2);
-  EXPECT_EQ(U, 4);
-  EXPECT_EQ(Kept, (std::vector<int32_t>{0, 3, 0, 5, 2, 0, 2, 1}));
+  Function F = sortUniqueRankFunction(2, {}, 2);
+  SortUniqueRankOut Got =
+      interpretSortUniqueRank(F, {2, 1, 0, 5, 2, 1, 0, 3, 2, 0}, 5);
+  EXPECT_EQ(Got.Unique, 4);
+  EXPECT_EQ(Got.List, (std::vector<int32_t>{0, 3, 0, 5, 2, 0, 2, 1}));
+  EXPECT_EQ(Got.Rank, (std::vector<int32_t>{3, 1, 3, 0, 2}));
+  EXPECT_EQ(Got.Search, Got.Rank);
 }
 
-TEST(IrSortedRanking, SortUniqueEmptyAndSingleton) {
-  auto [KeptEmpty, UEmpty] = runSortUnique({}, 0, 3);
-  EXPECT_EQ(UEmpty, 0);
-  EXPECT_TRUE(KeptEmpty.empty());
-  auto [KeptOne, UOne] = runSortUnique({7, 8, 9}, 1, 3);
-  EXPECT_EQ(UOne, 1);
-  EXPECT_EQ(KeptOne, (std::vector<int32_t>{7, 8, 9}));
+TEST(IrSortedRanking, InterpreterIgnoresTheLeadAndTheWidths) {
+  // The hint and the full-sort lowering are C-side choices: every lead,
+  // with and without widths, gives the reference result on every
+  // arrangement, including ones that contradict the hint.
+  for (Arrangement How : {Arrangement::Presorted, Arrangement::LeadOrdered,
+                          Arrangement::SortedByLead, Arrangement::Shuffled}) {
+    std::vector<int32_t> Data = makeTuples(200, 3, 7, How, 11);
+    SortUniqueRankOut Want = expectedSortUniqueRank(Data, 200, 3);
+    for (int64_t Lead : {0, 1, 2, 3})
+      for (bool Packed : {false, true})
+        expectSame(interpretSortUniqueRank(
+                       sortUniqueRankFunction(
+                           3, Packed ? std::vector<int64_t>{3, 3, 3}
+                                     : std::vector<int64_t>{},
+                           Lead),
+                       Data, 200),
+                   Want,
+                   "lead " + std::to_string(Lead) +
+                       (Packed ? " packed" : " merge") + " arrangement " +
+                       std::to_string(static_cast<int>(How)));
+  }
+}
+
+TEST(IrSortedRanking, SortUniqueRankEmptyAndSingleton) {
+  Function F = sortUniqueRankFunction(3, {}, 0);
+  SortUniqueRankOut Empty = interpretSortUniqueRank(F, {}, 0);
+  EXPECT_EQ(Empty.Unique, 0);
+  EXPECT_TRUE(Empty.List.empty());
+  SortUniqueRankOut One = interpretSortUniqueRank(F, {7, 8, 9}, 1);
+  EXPECT_EQ(One.Unique, 1);
+  EXPECT_EQ(One.List, (std::vector<int32_t>{7, 8, 9}));
+  EXPECT_EQ(One.Rank, (std::vector<int32_t>{0}));
 }
 
 TEST(IrSortedRanking, LowerBoundRanksSortedTuples) {
@@ -535,209 +692,203 @@ TEST(IrSortedRanking, LowerBoundRanksSortedTuples) {
 }
 
 TEST(IrSortedRanking, PrintingInBothViews) {
-  Stmt Sort = sortTuples("B2_srt", var("n"), 2);
-  EXPECT_EQ(printStmt(Sort), "sort_tuples(B2_srt, n, 2);\n");
-  EXPECT_EQ(printStmtAsC(Sort), "cvg_sort_tuples(B2_srt, n, 2);\n");
-  Stmt Uniq = uniqueTuples("B2_srt", var("n"), 2, "uB2");
-  EXPECT_EQ(printStmtAsC(Uniq),
-            "int64_t uB2 = cvg_unique_tuples(B2_srt, n, 2);\n");
+  Stmt Merge = sortUniqueRank("B2_srt", var("n"), 2, {}, 2, "uB2");
+  EXPECT_EQ(printStmt(Merge),
+            "int64_t uB2 = sort_unique_rank(B2_srt, n, 2, lead=2);\n");
+  EXPECT_EQ(printStmtAsC(Merge),
+            "int64_t uB2 = cvg_sort_unique_rank(&B2_srt, n, 2, 2, NULL, "
+            "NULL);\n");
+  Stmt Ranked = sortUniqueRank("B3_srt", var("n"), 3, {24, 20, 20}, 1, "uB3",
+                               "B3_rank");
+  EXPECT_EQ(printStmt(Ranked),
+            "int64_t uB3 = sort_unique_rank(B3_srt, n, 3, lead=1, "
+            "bits=[24,20,20], rank=B3_rank);\n");
+  EXPECT_EQ(printStmtAsC(Ranked),
+            "int64_t uB3 = cvg_sort_unique_rank(&B3_srt, n, 3, 1, "
+            "(const int64_t[]){24,20,20}, B3_rank);\n");
   Expr Lb = lowerBound("B2_srt", var("uB2"), {var("i"), var("j")});
   EXPECT_EQ(printExpr(Lb),
             "cvg_lower_bound(B2_srt, uB2, 2, (const int64_t[]){i, j})");
 }
 
 TEST(IrSortedRanking, PreludeHelpersAreEmittedOnlyWhenUsed) {
-  BlockBuilder With;
-  With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortTuples("b", intImm(2), 2));
-  Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
-  EXPECT_NE(emitC(FWith).find("static void cvg_sort_tuples"),
+  auto cFor = [](Stmt Sort) {
+    BlockBuilder B;
+    B.add(alloc("b", ScalarKind::Int, intImm(4), false));
+    B.add(std::move(Sort));
+    return emitC(Function{"f", {{"dim0", ScalarKind::Int, false}},
+                          B.build()});
+  };
+  // Lead 0 without widths: verify, then the merge fallback — no radix.
+  std::string Merge = cFor(sortUniqueRank("b", intImm(2), 2, {}, 0, "u"));
+  EXPECT_NE(Merge.find("static int64_t cvg_sort_unique_rank"),
             std::string::npos);
+  EXPECT_NE(Merge.find("static void cvg_sort_tuples"), std::string::npos);
+  EXPECT_EQ(Merge.find("cvg_radix_gather"), std::string::npos);
+  // A partial lead pulls in the radix core for the lead sort.
+  std::string Lead = cFor(sortUniqueRank("b", intImm(2), 2, {}, 1, "u"));
+  EXPECT_NE(Lead.find("static int32_t *cvg_radix_gather"), std::string::npos);
+  // Widths select the packed full sort and drop the merge machinery.
+  std::string Packed =
+      cFor(sortUniqueRank("b", intImm(2), 2, {8, 8}, 0, "u"));
+  EXPECT_NE(Packed.find("static int32_t *cvg_radix_gather"),
+            std::string::npos);
+  EXPECT_EQ(Packed.find("cvg_sort_tuples"), std::string::npos);
+  // No sorted construct, no helper at all.
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_sort_tuples"), std::string::npos);
+  std::string None = emitC(
+      Function{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()});
+  EXPECT_EQ(None.find("cvg_sort_unique_rank"), std::string::npos);
+  EXPECT_EQ(None.find("cvg_tuple_cmp"), std::string::npos);
 }
 
-TEST(IrInterpDeath, SortTuplesRangeOutOfBoundsAborts) {
+TEST(IrInterpDeath, SortUniqueRankRangeOutOfBoundsAborts) {
   BlockBuilder B;
   B.add(alloc("b", ScalarKind::Int, intImm(4), true));
-  B.add(sortTuples("b", intImm(3), 2)); // 3 pairs need 6 slots, only 4.
+  // 3 pairs need 6 slots, only 4.
+  B.add(sortUniqueRank("b", intImm(3), 2, {}, 2, "u"));
   Function F{"f", {}, B.build()};
   Interpreter Interp;
-  EXPECT_DEATH(Interp.run(F), "sort_tuples range");
+  EXPECT_DEATH(Interp.run(F), "sort_unique_rank range");
+}
+
+TEST(IrSortedRankingDeath, BadWidthsAndLeadsAbort) {
+  EXPECT_DEATH(sortUniqueRank("b", intImm(2), 3, {8, 8}, 0, "u"),
+               "one bit width per component");
+  EXPECT_DEATH(sortUniqueRank("b", intImm(2), 2, {40, 40}, 0, "u"),
+               "int32 coordinate widths");
+  EXPECT_DEATH(sortUniqueRank("b", intImm(2), 3, {32, 32, 32}, 0, "u"),
+               "fit 64 bits");
+  EXPECT_DEATH(sortUniqueRank("b", intImm(2), 2, {}, 3, "u"),
+               "lead must lie in");
+  // Three 32-bit lead components would overflow the lead key.
+  EXPECT_DEATH(sortUniqueRank("b", intImm(2), 4, {}, 3, "u"),
+               "lead components must pack");
 }
 
 //===----------------------------------------------------------------------===//
-// Packed-key radix sort: sortTuplesPacked
+// sortUniqueRank through the C emitter: the lowering agrees with the
+// interpreter (and the reference) on every lead, full-sort lowering,
+// arrangement and thread count
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Sorts \p Data as \p N tuples through the packed lowering and returns
-/// the buffer. The interpreter executes packed sorts through the same
-/// lexicographic index sort as the unpacked form — identical semantics by
-/// construction — so this exercises the factory + the oracle the emitted
-/// radix code is pinned against elsewhere.
-std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
-                                   int64_t Arity,
-                                   std::vector<int64_t> Widths) {
-  BlockBuilder B;
-  B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
-  B.add(forRange("i", intImm(0), intImm(N * Arity),
-                 store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuplesPacked("buf", intImm(N), Arity, std::move(Widths)));
-  B.add(yieldBuffer("B1_crd", "buf", intImm(N * Arity)));
-  Function F{"dopacked", {{"in", ScalarKind::Int, true}}, B.build()};
-  Interpreter Interp;
-  Interp.bindIntBuffer("in", std::move(Data));
-  return Interp.run(F).Buffers["B1_crd"].Ints;
+/// Compiles \p F through the JIT (it follows the conversion naming
+/// convention, so the runtime marshals it) and runs it on \p Data.
+SortUniqueRankOut runNative(const jit::JitConversion &Native,
+                            std::vector<int32_t> Data, int64_t N,
+                            int64_t Arity) {
+  jit::CTensor A, B;
+  A.dims[0] = N;
+  A.crd[1] = Data.data();
+  A.crd_len[1] = static_cast<int64_t>(Data.size());
+  Native.runRaw(&A, &B);
+  SortUniqueRankOut Out;
+  Out.Unique = B.params[1];
+  Out.List.assign(B.crd[1], B.crd[1] + Out.Unique * Arity);
+  Out.Rank.assign(B.crd[2], B.crd[2] + N);
+  Out.Search.assign(B.crd[3], B.crd[3] + N);
+  jit::freeOutput(&B);
+  return Out;
+}
+
+void setThreads(int Threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(Threads);
+#else
+  (void)Threads;
+#endif
 }
 
 } // namespace
 
-TEST(IrPackedSort, InterpreterSortsLexicographically) {
-  EXPECT_EQ(runPackedSort({2, 1, 0, 5, 2, 1, 0, 3, 2, 0}, 5, 2, {2, 3}),
-            (std::vector<int32_t>{0, 3, 0, 5, 2, 0, 2, 1, 2, 1}));
-}
-
-TEST(IrPackedSort, EmptyAndSingletonAreNoOps) {
-  EXPECT_TRUE(runPackedSort({}, 0, 3, {10, 10, 10}).empty());
-  EXPECT_EQ(runPackedSort({7, 8, 9}, 1, 3, {4, 4, 4}),
-            (std::vector<int32_t>{7, 8, 9}));
-}
-
-TEST(IrPackedSort, MaxWidthKeysRoundTrip) {
-  // Two 32-bit components fill the key exactly; INT32_MAX coordinates
-  // must survive the pack/sort/unpack round trip.
-  const int32_t M = 2147483647;
-  EXPECT_EQ(runPackedSort({M, 0, 0, M, M, M, 0, 0}, 4, 2, {32, 32}),
-            (std::vector<int32_t>{0, 0, 0, M, M, 0, M, M}));
-}
-
-TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
-  // 64 tuples drawn from an 8-value space: heavy duplication. The packed
-  // sort must agree with the plain comparison sort on the whole multiset.
-  std::vector<int32_t> Data;
-  uint32_t S = 12345;
-  for (int I = 0; I < 128; ++I) {
-    S = S * 1664525u + 1013904223u;
-    Data.push_back(static_cast<int32_t>((S >> 16) & 3));
-  }
-  std::vector<int32_t> FromPacked = runPackedSort(Data, 64, 2, {2, 2});
-  BlockBuilder B;
-  B.add(alloc("buf", ScalarKind::Int, intImm(128), false));
-  B.add(forRange("i", intImm(0), intImm(128),
-                 store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuples("buf", intImm(64), 2));
-  B.add(yieldBuffer("B1_crd", "buf", intImm(128)));
-  Function F{"doplain", {{"in", ScalarKind::Int, true}}, B.build()};
-  Interpreter Interp;
-  Interp.bindIntBuffer("in", Data);
-  EXPECT_EQ(FromPacked, Interp.run(F).Buffers["B1_crd"].Ints);
-}
-
-TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
-  // sortUniqueTuplesPacked == sortTuplesPacked + uniqueTuples: same
-  // compacted prefix, same unique count.
-  std::vector<int32_t> Data;
-  uint32_t S = 999;
-  for (int I = 0; I < 96; ++I) {
-    S = S * 1664525u + 1013904223u;
-    Data.push_back(static_cast<int32_t>((S >> 16) & 3));
-  }
-  auto run = [&](bool Fused) {
-    BlockBuilder B;
-    B.add(alloc("buf", ScalarKind::Int, intImm(96), false));
-    B.add(forRange("i", intImm(0), intImm(96),
-                   store("buf", var("i"), load("in", var("i")))));
-    if (Fused) {
-      B.add(alloc("rnk", ScalarKind::Int, intImm(48), false));
-      B.add(sortUniqueTuplesPacked("buf", intImm(48), 2, {2, 2}, "u", "rnk"));
-      B.add(yieldBuffer("B2_crd", "rnk", intImm(48)));
-    } else {
-      B.add(sortTuplesPacked("buf", intImm(48), 2, {2, 2}));
-      B.add(uniqueTuples("buf", intImm(48), 2, "u"));
-    }
-    B.add(yieldScalar("unique", var("u")));
-    B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
-    Function F{"dofused", {{"in", ScalarKind::Int, true}}, B.build()};
-    Interpreter Interp;
-    Interp.bindIntBuffer("in", Data);
-    return Interp.run(F);
+TEST(IrSortedRankingJit, CMatchesTheInterpreterAtOneAndFourThreads) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  struct Config {
+    int64_t Arity;
+    std::vector<int64_t> Widths; ///< Empty: merge full sort.
+    int64_t Lead;
+    uint32_t Max; ///< Largest coordinate drawn.
   };
-  RunResult Fused = run(true), Split = run(false);
-  EXPECT_EQ(Fused.Scalars["unique"], Split.Scalars["unique"]);
-  EXPECT_EQ(Fused.Buffers["B1_crd"].Ints, Split.Buffers["B1_crd"].Ints);
-  // Every slot's scattered rank is what a binary search for its tuple in
-  // the deduped list returns.
-  const std::vector<int32_t> &Uniq = Split.Buffers["B1_crd"].Ints;
-  const std::vector<int32_t> &Rank = Fused.Buffers["B2_crd"].Ints;
-  ASSERT_EQ(Rank.size(), 48u);
-  for (size_t I = 0; I < 48; ++I) {
-    int32_t A = Data[I * 2], B2 = Data[I * 2 + 1];
-    int64_t Lo = 0;
-    while (Lo * 2 < static_cast<int64_t>(Uniq.size()) &&
-           (Uniq[Lo * 2] < A || (Uniq[Lo * 2] == A && Uniq[Lo * 2 + 1] < B2)))
-      ++Lo;
-    EXPECT_EQ(Rank[I], Lo) << "slot " << I;
+  const int32_t Big = 2147483647; // A 2^31 extent's last coordinate.
+  const std::vector<Config> Configs = {
+      {3, {}, 0, 6},           {3, {}, 1, 6},
+      {3, {}, 3, 6},           {3, {3, 3, 3}, 0, 6},
+      {3, {3, 3, 3}, 1, 6},    {3, {3, 3, 3}, 3, 6},
+      {3, {}, 1, static_cast<uint32_t>(Big)}, // 2^31 extents, unpackable
+      {2, {31, 31}, 1, static_cast<uint32_t>(Big)},
+  };
+  for (const Config &C : Configs) {
+    Function F = sortUniqueRankFunction(C.Arity, C.Widths, C.Lead);
+    codegen::Conversion Conv;
+    Conv.Func = F;
+    jit::JitConversion Native(Conv);
+    ASSERT_FALSE(Native.degraded()) << Native.degradationReason();
+    std::string Label = "arity " + std::to_string(C.Arity) + " lead " +
+                        std::to_string(C.Lead) +
+                        (C.Widths.empty() ? " merge" : " packed");
+    uint32_t Max = std::min<uint32_t>(C.Max, static_cast<uint32_t>(Big));
+    for (int64_t N : {0, 1, 2, 5000}) {
+      for (Arrangement How :
+           {Arrangement::Presorted, Arrangement::LeadOrdered,
+            Arrangement::SortedByLead, Arrangement::Shuffled}) {
+        std::vector<int32_t> Data =
+            makeTuples(N, C.Arity, Max, How, static_cast<uint32_t>(N + 7));
+        SortUniqueRankOut Want = expectedSortUniqueRank(Data, N, C.Arity);
+        std::string What = Label + " n " + std::to_string(N) +
+                           " arrangement " +
+                           std::to_string(static_cast<int>(How));
+        expectSame(interpretSortUniqueRank(F, Data, N), Want,
+                   What + " (interpreter)");
+        for (int Threads : {1, 4}) {
+          setThreads(Threads);
+          expectSame(runNative(Native, Data, N, C.Arity), Want,
+                     What + " (C, " + std::to_string(Threads) +
+                         " threads)");
+        }
+      }
+    }
   }
+#ifdef _OPENMP
+  omp_set_num_threads(omp_get_num_procs());
+#endif
 }
 
-TEST(IrPackedSort, PrintingInBothViews) {
-  Stmt Sort = sortTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20});
-  EXPECT_EQ(printStmt(Sort),
-            "sort_tuples_packed(B3_srt, n, 3, bits=[24,20,20]);\n");
-  EXPECT_EQ(printStmtAsC(Sort),
-            "cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 0, NULL);\n");
-  // The fused sort+dedup form declares the unique count and sets the
-  // dedup flag in C.
-  Stmt Fused = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20}, "u3");
-  EXPECT_EQ(printStmt(Fused),
-            "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
-            "bits=[24,20,20]);\n");
-  EXPECT_EQ(printStmtAsC(Fused),
-            "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 1, NULL);\n");
-  // With a rank buffer the payload variant is named in both views.
-  Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20},
-                                       "u3", "B3_rank");
-  EXPECT_EQ(printStmt(Ranked),
-            "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
-            "bits=[24,20,20], rank=B3_rank);\n");
-  EXPECT_EQ(printStmtAsC(Ranked),
-            "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 1, B3_rank);\n");
+TEST(IrSortedRankingJit, DuplicateHeavyInputsAgree) {
+  // 5000 tuples over a 2x2x2 space: nearly every slot is a duplicate, so
+  // the in-place compaction's serial path and the rank scatter for
+  // repeated tuples both run.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  for (int64_t Lead : {0, 1}) {
+    Function F = sortUniqueRankFunction(3, {}, Lead);
+    codegen::Conversion Conv;
+    Conv.Func = F;
+    jit::JitConversion Native(Conv);
+    ASSERT_FALSE(Native.degraded()) << Native.degradationReason();
+    for (Arrangement How : {Arrangement::Presorted, Arrangement::LeadOrdered,
+                            Arrangement::Shuffled}) {
+      std::vector<int32_t> Data = makeTuples(5000, 3, 1, How, 3);
+      SortUniqueRankOut Want = expectedSortUniqueRank(Data, 5000, 3);
+      EXPECT_LE(Want.Unique, 8);
+      for (int Threads : {1, 4}) {
+        setThreads(Threads);
+        expectSame(runNative(Native, Data, 5000, 3), Want,
+                   "lead " + std::to_string(Lead) + " arrangement " +
+                       std::to_string(static_cast<int>(How)) + " threads " +
+                       std::to_string(Threads));
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(omp_get_num_procs());
+#endif
 }
 
-TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
-  BlockBuilder With;
-  With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortTuplesPacked("b", intImm(2), 2, {8, 8}));
-  Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
-  EXPECT_NE(emitC(FWith).find("static int64_t cvg_radix_sort_packed"),
-            std::string::npos);
-  // The unpacked merge-sort helper is NOT dragged in by a packed sort.
-  EXPECT_EQ(emitC(FWith).find("static void cvg_sort_tuples"),
-            std::string::npos);
-  BlockBuilder Without;
-  Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  Without.add(sortTuples("b", intImm(2), 2));
-  Function FWithout{"f", {{"dim0", ScalarKind::Int, false}},
-                    Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_radix_sort_packed"),
-            std::string::npos);
-}
-
-TEST(IrPackedSortDeath, MismatchedWidthsAbort) {
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 3, {8, 8}),
-               "one bit width per component");
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 2, {40, 40}),
-               "int32 coordinate widths");
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 3, {32, 32, 32}),
-               "fit 64 bits");
-}
+//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -891,16 +1042,16 @@ TEST(IrSharedSort, HashDistinctThenSortMatchesSortUnique) {
   int64_t N = 6, Arity = 2;
   BlockBuilder B;
   B.add(alloc("dst", ScalarKind::Int, intImm(N * Arity), false));
-  B.add(hashDistinct("src", intImm(N), Arity, "dst", "u"));
-  B.add(sortTuples("dst", var("u"), Arity));
+  B.add(hashDistinct("src", intImm(N), Arity, "dst", "h"));
+  B.add(sortUniqueRank("dst", var("h"), Arity, {}, 0, "u"));
   B.add(yieldBuffer("B1_crd", "dst", mul(var("u"), intImm(Arity))));
   Function F{"dohashsort", {{"src", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
   Interp.bindIntBuffer("src", Data);
   std::vector<int32_t> Hashed = Interp.run(F).Buffers["B1_crd"].Ints;
-  auto [Sorted, U] = runSortUnique(Data, N, Arity);
-  EXPECT_EQ(static_cast<int64_t>(Hashed.size()), U * Arity);
-  EXPECT_EQ(Hashed, Sorted);
+  SortUniqueRankOut Sorted = expectedSortUniqueRank(Data, N, Arity);
+  EXPECT_EQ(static_cast<int64_t>(Hashed.size()), Sorted.Unique * Arity);
+  EXPECT_EQ(Hashed, Sorted.List);
 }
 
 TEST(IrSharedSort, PrintingInBothViews) {
@@ -924,7 +1075,8 @@ TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   std::string C = emitC(FWith);
   EXPECT_NE(C.find("static int64_t cvg_unique_prefix"), std::string::npos);
-  EXPECT_NE(C.find("static int64_t cvg_hash_distinct"), std::string::npos);
+  // Each helper is gated on its own use.
+  EXPECT_EQ(C.find("cvg_hash_distinct"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
