@@ -12,21 +12,25 @@
 /// the measured-outcome auto-tuning loop run end to end: the "planner-
 /// chosen" row is whatever decide() picks after it has seen real timings.
 ///
-/// All rows use the interpreter-backed Converter so candidate timings are
-/// methodologically identical (the JIT path shares the same plans; its
-/// relative ordering is the same). Outcomes are kept memory-only so the
-/// benchmark neither reads nor pollutes the user's auto-tuning history.
+/// Every candidate runs on the JIT engine — the engine ConversionService
+/// serves requests with — through handles compiled before timing, and its
+/// timings are recorded under the JIT engine's outcome keys at this
+/// thread's OpenMP thread count: exactly the keys decide() consults for a
+/// native request. Outcomes are kept memory-only so the benchmark neither
+/// reads nor pollutes the user's auto-tuning history.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Common.h"
 
 #include "codegen/Knobs.h"
-#include "convert/Converter.h"
+#include "convert/PlanCache.h"
+#include "jit/Jit.h"
 #include "planner/Planner.h"
 #include "tensor/Triplets.h"
 
 #include <cinttypes>
+#include <memory>
 #include <random>
 #include <set>
 
@@ -34,31 +38,6 @@ using namespace convgen;
 using namespace convgen::bench;
 
 namespace {
-
-/// Pins CONVGEN_PLANNER off for a scope (candidate timings must execute
-/// exactly the candidate's forced options, not re-decide).
-class ScopedPlannerOff {
-public:
-  ScopedPlannerOff() {
-    if (const char *Old = std::getenv("CONVGEN_PLANNER")) {
-      Had = true;
-      Saved = Old;
-    }
-    setenv("CONVGEN_PLANNER", "off", 1);
-    codegen::reloadKnobsFromEnv();
-  }
-  ~ScopedPlannerOff() {
-    if (Had)
-      setenv("CONVGEN_PLANNER", Saved.c_str(), 1);
-    else
-      unsetenv("CONVGEN_PLANNER");
-    codegen::reloadKnobsFromEnv();
-  }
-
-private:
-  std::string Saved;
-  bool Had = false;
-};
 
 /// A fixed-seed random tensor: \p Nnz distinct coordinates in \p Dims.
 tensor::SparseTensor randomTensor(const formats::Format &Src,
@@ -80,17 +59,28 @@ tensor::SparseTensor randomTensor(const formats::Format &Src,
   return tensor::buildFromTriplets(Src, T);
 }
 
-/// Runs one candidate path hop by hop with the planner pinned off.
-bool runCandidate(const planner::Candidate &C,
-                  const tensor::SparseTensor &In) {
+using HandleChain = std::vector<std::shared_ptr<jit::JitConversion>>;
+
+/// The JIT handle of every hop of \p C, compiled now so timing sees only
+/// the conversions; empty when some hop cannot be acquired.
+HandleChain handlesFor(const planner::Candidate &C) {
+  HandleChain Chain;
+  for (const planner::Hop &H : C.Hops) {
+    StatusOr<std::shared_ptr<jit::JitConversion>> J =
+        convert::PlanCache::instance().tryJit(H.Src, H.Dst, H.Opts);
+    if (!J.ok())
+      return {};
+    Chain.push_back(J.take());
+  }
+  return Chain;
+}
+
+/// Runs one candidate path hop by hop on its handles.
+bool runChain(const HandleChain &Chain, const tensor::SparseTensor &In) {
   tensor::SparseTensor Staged;
   const tensor::SparseTensor *Cur = &In;
-  for (const planner::Hop &H : C.Hops) {
-    StatusOr<convert::Converter> Conv =
-        convert::Converter::tryCreate(H.Src, H.Dst, H.Opts);
-    if (!Conv.ok())
-      return false;
-    StatusOr<tensor::SparseTensor> Out = Conv->tryRun(*Cur);
+  for (const std::shared_ptr<jit::JitConversion> &H : Chain) {
+    StatusOr<tensor::SparseTensor> Out = H->tryRun(*Cur);
     if (!Out.ok())
       return false;
     Staged = Out.take();
@@ -130,37 +120,35 @@ void benchPair(const PairSpec &Spec, BenchReport &Report) {
               Cold.Considered.size());
   convert::PlanCache &Cache = convert::PlanCache::instance();
   std::map<std::string, TimeStats> Timed;
-  {
-    ScopedPlannerOff Off;
-    for (const planner::Candidate &C : Cold.Considered) {
-      std::vector<double> Times;
-      bool Ok = true;
-      for (int Rep = 0; Rep < benchReps() && Ok; ++Rep) {
-        auto Begin = std::chrono::steady_clock::now();
-        Ok = runCandidate(C, In);
-        double Seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - Begin)
-                             .count();
-        if (Ok) {
-          Times.push_back(Seconds);
-          Cache.recordOutcome(C.OutcomeKey, Seconds);
-        }
+  for (const planner::Candidate &C : Cold.Considered) {
+    HandleChain Chain = handlesFor(C);
+    std::vector<double> Times;
+    bool Ok = !Chain.empty();
+    for (int Rep = 0; Rep < benchReps() && Ok; ++Rep) {
+      auto Begin = std::chrono::steady_clock::now();
+      Ok = runChain(Chain, In);
+      double Seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - Begin)
+                           .count();
+      if (Ok) {
+        Times.push_back(Seconds);
+        Cache.recordOutcome(C.OutcomeKey, Seconds);
       }
-      if (!Ok || Times.empty()) {
-        std::printf("    %-24s failed to execute\n", C.Label.c_str());
-        continue;
-      }
-      std::sort(Times.begin(), Times.end());
-      TimeStats S{Times.front(), Times[Times.size() / 2]};
-      Timed[C.Label] = S;
-      std::printf("    %-24s median %8.2f ms  (analytic cost %.3g)\n",
-                  C.Label.c_str(), S.MedianSeconds * 1e3, C.AnalyticCost);
-      Report.add(strfmt("{\"label\": \"%s/candidate/%s\", "
-                        "\"median_seconds\": %.6g, \"min_seconds\": %.6g, "
-                        "\"analytic_cost\": %.6g}",
-                        Spec.Name, C.Label.c_str(), S.MedianSeconds,
-                        S.MinSeconds, C.AnalyticCost));
     }
+    if (!Ok || Times.empty()) {
+      std::printf("    %-24s failed to execute\n", C.Label.c_str());
+      continue;
+    }
+    std::sort(Times.begin(), Times.end());
+    TimeStats S{Times.front(), Times[Times.size() / 2]};
+    Timed[C.Label] = S;
+    std::printf("    %-24s median %8.2f ms  (analytic cost %.3g)\n",
+                C.Label.c_str(), S.MedianSeconds * 1e3, C.AnalyticCost);
+    Report.add(strfmt("{\"label\": \"%s/candidate/%s\", "
+                      "\"median_seconds\": %.6g, \"min_seconds\": %.6g, "
+                      "\"analytic_cost\": %.6g}",
+                      Spec.Name, C.Label.c_str(), S.MedianSeconds,
+                      S.MinSeconds, C.AnalyticCost));
   }
 
   // The warmed-up decision: measurements now outvote the analytic model.
@@ -201,7 +189,10 @@ int main() {
   std::printf("planner ablation (scale %.2f, %d reps)\n\n", benchScale(),
               benchReps());
   BenchReport Report("BENCH_planner.json");
-  Report.metaStr("engine", "interpreter");
+  Report.metaStr("engine", "jit");
+  // The outcome keys' engine component: the JIT at this thread's OpenMP
+  // thread count.
+  Report.metaStr("outcome_engine", planner::engineTag(planner::Engine::Jit));
 
   // Hypersparse 3-tensor: the dense-ranked default touches a multi-MB rank
   // array; the packed radix sort only touches nnz. The planner should

@@ -8,11 +8,12 @@
 
 #include "convert/PlanCache.h"
 #include "ir/Interpreter.h"
-#include "planner/Planner.h"
+#include "jit/Jit.h"
 #include "support/Assert.h"
 #include "support/DegradationLog.h"
 #include "support/StringUtils.h"
 
+#include <array>
 #include <chrono>
 
 using namespace convgen;
@@ -138,126 +139,210 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Executes a planner-chosen candidate path through the interpreter: plan
-/// acquisition for every hop up front (codegen is a once-per-process cost,
-/// not a per-conversion one), then the timed hop chain, then the measured
-/// outcome recorded under the candidate's key so later decisions can trust
-/// it.
-StatusOr<tensor::SparseTensor> runChosenPath(const planner::Candidate &Chosen,
-                                             const tensor::SparseTensor &In,
-                                             const support::Deadline &Deadline) {
-  std::vector<std::shared_ptr<const codegen::Conversion>> Plans;
-  for (const planner::Hop &H : Chosen.Hops) {
-    StatusOr<std::shared_ptr<const codegen::Conversion>> P =
-        PlanCache::instance().tryPlan(H.Src, H.Dst, H.Opts);
+/// Returns a deadline that expired at \p Where, logging it unless a lower
+/// layer already has (\p Logged).
+Status deadlineExpired(const formats::Format &Source,
+                       const formats::Format &Target, const char *Where,
+                       bool Logged = false) {
+  if (!Logged)
+    support::DegradationLog::instance().record(
+        support::Degradation::DeadlineExceeded,
+        strfmt("%s -> %s: %s", Source.Name.c_str(), Target.Name.c_str(),
+               Where));
+  return Status::error(ErrorCode::DeadlineExceeded,
+                       strfmt("request deadline expired %s", Where));
+}
+
+/// One acquired hop: the plan the interpreter runs, or the JIT handle.
+struct HopHandle {
+  std::shared_ptr<const codegen::Conversion> Plan;
+  std::shared_ptr<jit::JitConversion> Native;
+};
+
+/// A candidate path has one hop (direct) or two (a chain through COO).
+constexpr size_t kMaxHops = 2;
+
+/// The engine's hop acquisition. \p Direct marks the request's own pair
+/// under the caller's options, which each engine routes to the plan the
+/// input's dims need; variant hops carry fully routed options already.
+StatusOr<HopHandle> acquireHop(Engine E, const formats::Format &Src,
+                               const formats::Format &Dst,
+                               const codegen::Options &Opts, bool Direct,
+                               const tensor::SparseTensor &In,
+                               const support::Deadline &Deadline) {
+  PlanCache &Cache = PlanCache::instance();
+  HopHandle H;
+  switch (E) {
+  case Engine::Interpreter: {
+    StatusOr<std::shared_ptr<const codegen::Conversion>> P = Cache.tryPlan(
+        Src, Dst,
+        Direct ? codegen::optionsForDims(Src, Dst, Opts, In.Dims) : Opts,
+        Deadline);
     if (!P.ok())
       return P.status();
-    Plans.push_back(P.take());
+    H.Plan = P.take();
+    break;
   }
-  auto Start = std::chrono::steady_clock::now();
-  tensor::SparseTensor Staged;
-  const tensor::SparseTensor *Cur = &In;
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    if (Deadline.expired())
-      return Status::error(
-          ErrorCode::DeadlineExceeded,
-          strfmt("converter: request deadline expired before hop %zu of the "
-                 "planned path",
-                 I + 1));
-    Status Order = checkSourceOrder(*Plans[I], *Cur);
+  case Engine::Jit: {
+    StatusOr<std::shared_ptr<jit::JitConversion>> J =
+        Direct ? Cache.tryJitFor(Src, Dst, Opts, In, "", Deadline)
+               : Cache.tryJit(Src, Dst, Opts, "", Deadline);
+    if (!J.ok())
+      return J.status();
+    H.Native = J.take();
+    break;
+  }
+  }
+  return H;
+}
+
+/// The engine's hop run; both check the source order the plan requires.
+StatusOr<tensor::SparseTensor> runHop(Engine E, const HopHandle &H,
+                                      const tensor::SparseTensor &In) {
+  switch (E) {
+  case Engine::Interpreter: {
+    Status Order = checkSourceOrder(*H.Plan, In);
     if (!Order.ok())
       return Order;
     ir::Interpreter Interp;
-    bindSourceTensor(Interp, *Cur);
-    ir::RunResult Result = Interp.run(Plans[I]->Func);
-    Staged = collectTargetTensor(Plans[I]->Target, Cur->Dims, Result);
-    Cur = &Staged;
+    bindSourceTensor(Interp, In);
+    ir::RunResult Result = Interp.run(H.Plan->Func);
+    return collectTargetTensor(H.Plan->Target, In.Dims, Result);
   }
-  PlanCache::instance().recordOutcome(Chosen.OutcomeKey, secondsSince(Start));
-  return std::move(Staged);
+  case Engine::Jit:
+    return H.Native->tryRunShaped(In);
+  }
+  convgen_unreachable("unknown engine");
+}
+
+/// Acquires every hop of one path — \p Variant's, or the direct hop when
+/// null — up front (codegen and compiles are once-per-process costs, not
+/// per-conversion ones), then runs the chain with a deadline check before
+/// each hop. \p Seconds (optional) receives the chain's wall-clock,
+/// \p Degraded whether any hop ran on a degraded JIT handle.
+StatusOr<tensor::SparseTensor>
+runPath(Engine E, const formats::Format &Source, const formats::Format &Target,
+        const codegen::Options &Opts, const planner::Candidate *Variant,
+        const tensor::SparseTensor &In, const support::Deadline &Deadline,
+        double *Seconds, bool *Degraded) {
+  size_t N = Variant ? Variant->Hops.size() : 1;
+  CONVGEN_ASSERT(N >= 1 && N <= kMaxHops,
+                 "candidate path of unexpected length");
+  std::array<HopHandle, kMaxHops> Hops;
+  // A compile the request's deadline cut short has logged the expiry.
+  bool CompileCutShort = false;
+  for (size_t I = 0; I < N; ++I) {
+    StatusOr<HopHandle> H =
+        Variant ? acquireHop(E, Variant->Hops[I].Src, Variant->Hops[I].Dst,
+                             Variant->Hops[I].Opts, false, In, Deadline)
+                : acquireHop(E, Source, Target, Opts, true, In, Deadline);
+    if (!H.ok())
+      return H.status();
+    Hops[I] = H.take();
+    CompileCutShort = CompileCutShort ||
+                      (Hops[I].Native &&
+                       Hops[I].Native->degradedByRequestDeadline());
+  }
+  std::chrono::steady_clock::time_point Start;
+  if (Seconds)
+    Start = std::chrono::steady_clock::now();
+  tensor::SparseTensor Staged;
+  for (size_t I = 0;; ++I) {
+    if (Deadline.expired())
+      return deadlineExpired(Source, Target,
+                             I ? "between planned hops"
+                               : "after plan/JIT acquisition",
+                             CompileCutShort);
+    StatusOr<tensor::SparseTensor> Out = runHop(E, Hops[I], I ? Staged : In);
+    if (!Out.ok())
+      return Out;
+    *Degraded = *Degraded || (Hops[I].Native && Hops[I].Native->degraded());
+    if (I + 1 == N) {
+      if (Seconds)
+        *Seconds = secondsSince(Start);
+      return Out;
+    }
+    Staged = Out.take();
+  }
 }
 
 } // namespace
 
 StatusOr<tensor::SparseTensor>
-Converter::tryRun(const tensor::SparseTensor &In,
-                  const support::Deadline &Deadline) const {
-  auto deadlineError = [&](const char *Where) {
-    support::DegradationLog::instance().record(
-        support::Degradation::DeadlineExceeded,
-        strfmt("%s -> %s: %s", Conv->Source.Name.c_str(),
-               Conv->Target.Name.c_str(), Where));
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         strfmt("converter: request deadline expired %s",
-                                Where));
-  };
+convert::execute(Engine E, const formats::Format &Source,
+                 const formats::Format &Target, const codegen::Options &Opts,
+                 const tensor::SparseTensor &In,
+                 const support::Deadline &Deadline, ExecInfo *Info) {
+  ExecInfo Local;
+  ExecInfo &X = Info ? *Info : Local;
+  X = ExecInfo();
   if (Deadline.expired())
-    return deadlineError("on entry");
-  if (In.Format.Name != Conv->Source.Name)
+    return deadlineExpired(Source, Target, "on entry");
+  if (In.Format.Name != Source.Name)
     return Status::error(
         ErrorCode::InvalidArgument,
-        strfmt("converter compiled for source '%s' got a '%s' tensor",
-               Conv->Source.Name.c_str(), In.Format.Name.c_str()));
-  // Size-driven strategy routing: when this tensor's dimensions push a
-  // level's dense ranking structures over the CONVGEN_RANK_DENSE_MAX_BYTES
-  // budget, fetch the dims-specialized plan (sorted-ranking levels, O(nnz)
-  // workspaces) from the cache instead of letting the default plan
-  // allocate by extent products — or return the planner's size-grounds
-  // diagnostic when no fallback applies.
-  const codegen::Conversion *Plan = Conv.get();
-  std::shared_ptr<const codegen::Conversion> DimPlan;
-  codegen::Options Effective = codegen::optionsForDims(
-      Conv->Source, Conv->Target, Conv->Opts, In.Dims);
-  if (Effective.DimsHint != Conv->Opts.DimsHint) {
-    StatusOr<std::shared_ptr<const codegen::Conversion>> Specialized =
-        PlanCache::instance().tryPlan(Conv->Source, Conv->Target, Effective);
-    if (!Specialized.ok())
-      return Specialized.status();
-    DimPlan = Specialized.take();
-    Plan = DimPlan.get();
-    if (Deadline.expired())
-      return deadlineError("after dims-specialized plan acquisition");
-  }
-  // Acceptance contract first, chosen path second: a source the default
-  // plan rejects (unsorted where its dedup assembly requires order) is
-  // rejected no matter which path the planner would pick, so planner-on
-  // and planner-off accept exactly the same inputs.
-  Status Order = checkSourceOrder(*Plan, In);
-  if (!Order.ok())
-    return Order;
-  // The path planner: pick the cheapest equivalent strategy assignment or
-  // two-hop chain for this input, execute it, and record the measured
-  // wall-clock so repeated conversions of similar shapes auto-tune.
+        strfmt("conversion from '%s' got a '%s' tensor", Source.Name.c_str(),
+               In.Format.Name.c_str()));
+  // The path planner picks the cheapest equivalent strategy assignment or
+  // two-hop chain for this input on this engine; its "direct" choice is
+  // exactly the dims-routed default plan, so a disengaged planner and an
+  // engaged-but-default one run (and cache) identically.
   planner::Decision Route = planner::decide(
-      Conv->Source, Conv->Target, Conv->Opts, planner::InputStats::fromTensor(In));
+      Source, Target, Opts, planner::InputStats::fromTensor(In), E);
+  X.Engaged = Route.Engaged;
+  X.MeasuredWin = Route.MeasuredWin;
+  double Seconds = 0;
   if (Route.Engaged && Route.Chosen.Label != "direct") {
+    // Acceptance contract first, chosen path second: a source the direct
+    // plan rejects (unsorted where its dedup assembly requires order) is a
+    // request error whichever path the planner picked. Checked on the plan
+    // alone, so it compiles nothing.
+    const planner::Hop &Direct = Route.Considered.front().Hops.front();
+    StatusOr<std::shared_ptr<const codegen::Conversion>> DirectPlan =
+        PlanCache::instance().tryPlan(Direct.Src, Direct.Dst, Direct.Opts,
+                                      Deadline);
+    if (!DirectPlan.ok())
+      return DirectPlan.status();
+    Status Order = checkSourceOrder(**DirectPlan, In);
+    if (!Order.ok())
+      return Order;
+    bool Degraded = false;
     StatusOr<tensor::SparseTensor> Planned =
-        runChosenPath(Route.Chosen, In, Deadline);
-    if (Planned.ok() || Planned.status().code() == ErrorCode::DeadlineExceeded)
+        runPath(E, Source, Target, Opts, &Route.Chosen, In, Deadline,
+                &Seconds, &Degraded);
+    if (Planned.ok()) {
+      PlanCache::instance().recordOutcome(Route.Chosen.OutcomeKey, Seconds);
+      X.TwoHop = Route.Chosen.Kind == planner::Candidate::Path::TwoHop;
+      X.Forced = !X.TwoHop;
+      X.Degraded = Degraded;
       return Planned;
-    // Any other failure of a variant path falls back to the default
-    // direct conversion below — the planner must never make a convertible
-    // input fail.
+    }
+    if (Planned.status().code() == ErrorCode::DeadlineExceeded)
+      return Planned;
+    // The input passed the acceptance check, so any other failure is the
+    // variant's: the planner must never make a convertible input fail.
     support::DegradationLog::instance().record(
         support::Degradation::PlannerFallback,
         strfmt("%s -> %s: planned path '%s' failed (%s); using the direct "
                "conversion",
-               Conv->Source.Name.c_str(), Conv->Target.Name.c_str(),
+               Source.Name.c_str(), Target.Name.c_str(),
                Route.Chosen.Label.c_str(),
                Planned.status().message().c_str()));
   }
-  auto Start = std::chrono::steady_clock::now();
-  ir::Interpreter Interp;
-  bindSourceTensor(Interp, In);
-  ir::RunResult Result = Interp.run(Plan->Func);
-  tensor::SparseTensor Out = collectTargetTensor(Plan->Target, In.Dims, Result);
-  if (Route.Engaged)
-    for (const planner::Candidate &C : Route.Considered)
-      if (C.Label == "direct") {
-        PlanCache::instance().recordOutcome(C.OutcomeKey, secondsSince(Start));
-        break;
-      }
-  return std::move(Out);
+  StatusOr<tensor::SparseTensor> Out =
+      runPath(E, Source, Target, Opts, nullptr, In, Deadline,
+              Route.Engaged ? &Seconds : nullptr, &X.Degraded);
+  if (Out.ok() && Route.Engaged)
+    PlanCache::instance().recordOutcome(Route.Considered.front().OutcomeKey,
+                                        Seconds);
+  return Out;
+}
+
+StatusOr<tensor::SparseTensor>
+Converter::tryRun(const tensor::SparseTensor &In,
+                  const support::Deadline &Deadline) const {
+  return execute(Engine::Interpreter, Conv->Source, Conv->Target, Conv->Opts,
+                 In, Deadline);
 }
 
 tensor::SparseTensor Converter::run(const tensor::SparseTensor &In) const {

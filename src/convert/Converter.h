@@ -29,6 +29,7 @@
 
 #include "codegen/Generator.h"
 #include "ir/Interpreter.h"
+#include "planner/Planner.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
 #include "tensor/SparseTensor.h"
@@ -63,13 +64,10 @@ public:
   /// errors; tryRun is the checked form.
   tensor::SparseTensor run(const tensor::SparseTensor &In) const;
 
-  /// Checked conversion: a tensor in the wrong format, an unsorted source
-  /// where the plan requires order, or dimensions no plan supports come
-  /// back as a Status instead of aborting. \p Deadline (optional) is
-  /// checked at the phase boundaries — on entry and after dims-specialized
-  /// plan acquisition — and returns DeadlineExceeded when expired; the
-  /// interpreter run itself, once started, completes (in-process compute
-  /// is never preempted, only waiting is bounded).
+  /// Checked conversion: execute() on the interpreter engine. A tensor in
+  /// the wrong format, an unsorted source where the plan requires order,
+  /// or dimensions no plan supports come back as a Status instead of
+  /// aborting; an expired \p Deadline comes back as DeadlineExceeded.
   StatusOr<tensor::SparseTensor>
   tryRun(const tensor::SparseTensor &In,
          const support::Deadline &Deadline = {}) const;
@@ -80,6 +78,49 @@ private:
 
   std::shared_ptr<const codegen::Conversion> Conv;
 };
+
+using planner::Engine;
+
+/// What one execute() call did, for callers that keep their own books.
+struct ExecInfo {
+  /// The path planner engaged (see planner::Decision::Engaged).
+  bool Engaged = false;
+  /// Its choice came from measured outcomes overriding the analytic model.
+  bool MeasuredWin = false;
+  /// The result came from the planner's two-hop chain through COO.
+  bool TwoHop = false;
+  /// The result came from a direct conversion under a planner-forced
+  /// strategy assignment (not the default plan).
+  bool Forced = false;
+  /// Some hop of the path that produced the result ran on a degraded
+  /// (interpreter-backed) JIT handle.
+  bool Degraded = false;
+};
+
+/// The one execution pipeline behind every entry point (Converter::tryRun,
+/// ConversionService::convert / submit / submitBatch): converts \p In from
+/// \p Source to \p Target on engine \p E. In order, it
+///  1. fails with DeadlineExceeded if \p Deadline has already expired;
+///  2. rejects a tensor whose format is not \p Source (InvalidArgument);
+///  3. asks planner::decide for this engine's path;
+///  4. when the planner departs from the direct plan, first applies the
+///     direct plan's source-order check, so planner-on and planner-off
+///     accept exactly the same inputs (the direct path checks order as it
+///     runs);
+///  5. acquires every hop (interpreter: PlanCache::tryPlan, dims-routed for
+///     the direct hop; JIT: PlanCache::tryJitFor for the direct hop,
+///     PlanCache::tryJit for variant hops), then runs the chain, checking
+///     the deadline before each hop;
+///  6. reruns a failed variant path through the direct plan, logging
+///     planner-fallback, unless it failed on the deadline;
+///  7. records the measured run under the served candidate's outcome key
+///     when the planner engaged.
+/// Deadline expiries are logged once, where they are detected. \p Info
+/// (optional) receives what happened.
+StatusOr<tensor::SparseTensor>
+execute(Engine E, const formats::Format &Source, const formats::Format &Target,
+        const codegen::Options &Opts, const tensor::SparseTensor &In,
+        const support::Deadline &Deadline = {}, ExecInfo *Info = nullptr);
 
 /// Binds \p In's arrays/dims/params as interpreter inputs under the "A"
 /// naming convention (shared with the JIT runner's marshalling).

@@ -148,10 +148,26 @@ const char kManifestHeader[] = "convgen-manifest-v1";
 /// A preloader whose hash differs from the manifest writer's is
 /// version-skewed and must evict, not serve.
 std::string environmentHash(const std::string &ExtraFlags) {
-  const char *Cc = std::getenv("CONVGEN_CC");
   return convgen::convert::contentHash(
       convgen::jit::jitEffectiveFlags(ExtraFlags) + "\n" +
-      (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint());
+      convgen::jit::compilerSpec() + "\n" + hostIsaFingerprint());
+}
+
+/// The disk-cache object path for \p Plan compiled with the effective flag
+/// string \p Flags, or "" when the disk cache is disabled. The name hashes
+/// everything that determines the binary: the emitted C, the flags, the
+/// compiler identity, and the host CPU (-march=native bakes the ISA into
+/// the object).
+std::string objectPathFor(const convgen::codegen::Conversion &Plan,
+                          const std::string &Flags) {
+  std::string Dir = convgen::convert::PlanCache::diskCacheDir();
+  if (Dir.empty())
+    return "";
+  std::string DiskKey = Plan.cSource() + "\n" + Flags + "\n" +
+                        convgen::jit::compilerSpec() + "\n" +
+                        hostIsaFingerprint();
+  return Dir + "/" + Plan.Func.Name + "-" +
+         convgen::convert::contentHash(DiskKey) + ".so";
 }
 
 std::vector<std::string> splitTabs(const std::string &Line) {
@@ -698,18 +714,8 @@ PlanCache::jitImpl(const formats::Format &Source,
   // generation too.
   std::shared_ptr<const codegen::Conversion> Plan =
       plan(Source, Target, Opts);
-  // The disk key covers everything that determines the binary: the emitted
-  // C, the full flag string, the compiler identity (CONVGEN_CC), and the
-  // host CPU (-march=native bakes the ISA into the object).
-  std::string SoPath;
-  std::string Dir = diskCacheDir();
-  if (!Dir.empty()) {
-    const char *Cc = std::getenv("CONVGEN_CC");
-    std::string DiskKey = Plan->cSource() + "\n" +
-                          jit::jitEffectiveFlags(ExtraFlags, Opts) + "\n" +
-                          (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint();
-    SoPath = Dir + "/" + Plan->Func.Name + "-" + contentHash(DiskKey) + ".so";
-  }
+  std::string SoPath =
+      objectPathFor(*Plan, jit::jitEffectiveFlags(ExtraFlags, Opts));
   auto Compiled = std::make_shared<jit::JitConversion>(*Plan, ExtraFlags,
                                                        SoPath, Deadline);
   {
@@ -935,17 +941,12 @@ PreloadStats PlanCache::preloadEager(
       Evict(F[0] + " -> " + F[1] + ": " + Plan.status().message());
       continue;
     }
-    std::string Dir = diskCacheDir();
-    if (Dir.empty()) {
+    std::string SoPath =
+        objectPathFor(**Plan, jit::jitEffectiveFlags(ExtraFlags, Opts));
+    if (SoPath.empty()) {
       Evict("disk cache disabled");
       continue;
     }
-    const char *Cc = std::getenv("CONVGEN_CC");
-    std::string DiskKey = (*Plan)->cSource() + "\n" +
-                          jit::jitEffectiveFlags(ExtraFlags) + "\n" +
-                          (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint();
-    std::string SoPath =
-        Dir + "/" + (*Plan)->Func.Name + "-" + contentHash(DiskKey) + ".so";
     if (SoPath != F[7]) {
       Evict(F[0] + " -> " + F[1] +
             ": recorded object path does not match this environment");
@@ -1060,8 +1061,9 @@ void PlanCache::maybePreloadFromEnv() {
 namespace {
 /// Outcome store format version; an unknown header drops the whole file
 /// (measurements are advisory — losing them costs re-measurement, never
-/// correctness).
-const char kOutcomesHeader[] = "convgen-outcomes-v1";
+/// correctness). v2 keys carry the engine and thread count; v1's
+/// engine-blind keys are dropped rather than guessed at.
+const char kOutcomesHeader[] = "convgen-outcomes-v2";
 } // namespace
 
 std::string PlanCache::outcomesFilePath() {

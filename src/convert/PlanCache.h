@@ -97,8 +97,9 @@ enum class PreloadMode {
 
 /// Accumulated wall-clock measurements of one conversion-path candidate
 /// (keyed by the planner's outcome key: pair + input-shape bucket +
-/// candidate label). The planner trusts these over its analytic cost
-/// model after CONVGEN_PLANNER_TRUST_AFTER observations.
+/// candidate label + engine and thread count). The planner trusts these
+/// over its analytic cost model after CONVGEN_PLANNER_TRUST_AFTER
+/// observations.
 struct OutcomeRecord {
   uint64_t Count = 0;
   double TotalSeconds = 0;

@@ -90,6 +90,11 @@ constexpr int kNumPhases = 8;
 /// The `<fn>_phase_seconds` export: the calling thread's phase array.
 using PhaseAccessorFn = double *(*)();
 
+/// The C compiler command line the JIT runs: CONVGEN_CC when set and
+/// nonempty, else "cc". Re-read per use so tests can rebind CONVGEN_CC
+/// in-process; the plan cache keys disk objects and manifests on it.
+std::string compilerSpec();
+
 /// True if a working C compiler is available. Probed once per distinct
 /// CONVGEN_CC value (so tests can point CONVGEN_CC at a nonexistent binary
 /// and observe the no-compiler degradation in-process).

@@ -15,6 +15,10 @@
 #include <limits>
 #include <set>
 
+#ifdef CONVGEN_HAVE_OPENMP
+#include <omp.h>
+#endif
+
 using namespace convgen;
 using namespace convgen::planner;
 using formats::LevelKind;
@@ -71,10 +75,21 @@ std::string planSignature(const codegen::AssemblyPlan &P) {
 
 } // namespace
 
+std::string planner::engineTag(Engine E) {
+  if (E == Engine::Interpreter)
+    return "interp.t1";
+#ifdef CONVGEN_HAVE_OPENMP
+  return "jit.t" + std::to_string(omp_get_max_threads());
+#else
+  return "jit.t1";
+#endif
+}
+
 std::string planner::outcomeKey(const formats::Format &Src,
                                 const formats::Format &Dst,
                                 const InputStats &Stats,
-                                const std::string &Label) {
+                                const std::string &Label,
+                                const std::string &EngineTag) {
   std::string Key =
       Src.Name + "->" + Dst.Name + "|n" + std::to_string(log2Bucket(Stats.Nnz));
   Key += "|d";
@@ -83,7 +98,7 @@ std::string planner::outcomeKey(const formats::Format &Src,
       Key += 'x';
     Key += std::to_string(log2Bucket(Stats.Dims[I]));
   }
-  return Key + "|" + Label;
+  return Key + "|" + Label + "|" + EngineTag;
 }
 
 double planner::analyticPlanCost(const codegen::AssemblyPlan &Plan,
@@ -186,7 +201,7 @@ bool planner::chainLegal(const formats::Format &Src, const formats::Format &Mid,
 
 Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
                          const codegen::Options &BaseOpts,
-                         const InputStats &Stats) {
+                         const InputStats &Stats, Engine E) {
   Decision D;
   const codegen::StrategyKnobs &K = codegen::knobs();
   if (!K.PlannerOn) {
@@ -300,10 +315,11 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
     }
   }
 
-  // Attach measured outcomes: a candidate with enough observations
-  // competes on its measured mean.
+  // Attach measured outcomes: a candidate with enough observations on
+  // this engine and thread count competes on its measured mean.
+  std::string Tag = engineTag(E);
   for (Candidate &C : D.Considered) {
-    C.OutcomeKey = outcomeKey(Src, Dst, Stats, C.Label);
+    C.OutcomeKey = outcomeKey(Src, Dst, Stats, C.Label, Tag);
     convert::OutcomeRecord Rec;
     if (convert::PlanCache::instance().outcomeFor(C.OutcomeKey, &Rec) &&
         Rec.Count >= static_cast<uint64_t>(K.PlannerTrustAfter)) {

@@ -27,7 +27,9 @@
 ///
 /// Auto-tuning: every planner-executed conversion records its measured
 /// wall-clock into the PlanCache's outcome store, keyed by (pair,
-/// log2-bucketed nnz and dims, strategy label). Once a candidate has
+/// log2-bucketed nnz and dims, strategy label, engine and thread count),
+/// so interpreter timings never steer a native decision and a 1-thread
+/// measurement never steers a 4-thread one. Once a candidate has
 /// CONVGEN_PLANNER_TRUST_AFTER observations, decide() trusts measurements
 /// over the analytic model: if both the analytic favourite and some other
 /// candidate are measured and the other's mean beats the favourite's by
@@ -36,13 +38,16 @@
 /// shape explore and later ones exploit.
 ///
 /// Correctness contract: every candidate computes the identical output
-/// tensor bit-for-bit (strategies are pure implementation choices, and
-/// chainLegal() rejects intermediates that would drop information the
-/// target preserves — see the duplicate-tuple and order-requirement
-/// predicates). The planner also preserves the direct path's acceptance
-/// behaviour: a source tensor the default plan would reject (unsorted
-/// where its dedup assembly requires order) is rejected no matter which
-/// path the planner chose.
+/// tensor (strategies are pure implementation choices, and chainLegal()
+/// rejects intermediates that would drop information the target preserves
+/// — see the duplicate-tuple and order-requirement predicates), bit-for-bit
+/// whenever the source is stored in lexicographic order. On an unordered
+/// source (a shuffled COO) only the stored set of nonzeros is common:
+/// sorted-ranking candidates emit sorted segments where the dense-ranked
+/// default keeps the source's order. The planner also preserves the direct
+/// path's acceptance behaviour: a source tensor the default plan would
+/// reject (unsorted where its dedup assembly requires order) is rejected
+/// no matter which path the planner chose.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,6 +75,10 @@ struct InputStats {
   static InputStats fromTensor(const tensor::SparseTensor &In);
 };
 
+/// The engine that executes a decision's hops. Outcomes are recorded and
+/// consulted per engine (see engineTag).
+enum class Engine { Interpreter, Jit };
+
 /// One conversion step of a candidate path, with the exact options the
 /// runner must plan/compile it under (dims hint and planner-forced
 /// strategy fields included).
@@ -83,7 +92,7 @@ struct Hop {
 struct Candidate {
   enum class Path { Direct, TwoHop };
   Path Kind = Path::Direct;
-  /// Stable strategy label, also the last component of OutcomeKey:
+  /// Stable strategy label, also a component of OutcomeKey:
   /// "direct", "direct+sorted", "rank=sorted", "rank=hashed",
   /// "sort=merge", "nosharedsort", "via-coo".
   std::string Label;
@@ -111,7 +120,8 @@ struct Decision {
   /// True when measured outcomes overrode the analytic favourite.
   bool MeasuredWin = false;
   Candidate Chosen;                ///< Valid when Engaged.
-  std::vector<Candidate> Considered; ///< All enumerated candidates.
+  /// All enumerated candidates; the first is always "direct".
+  std::vector<Candidate> Considered;
 };
 
 /// True when routing Src -> Mid -> Dst is semantically equivalent to the
@@ -133,11 +143,18 @@ bool chainLegal(const formats::Format &Src, const formats::Format &Mid,
                 const formats::Format &Dst, const std::vector<int64_t> &Dims,
                 std::string *Why = nullptr);
 
-/// The outcome-store key for (pair, stats, strategy label). Nnz and dims
-/// are log2-bucketed so measurements generalize across inputs of similar
-/// shape: "coo3->csf|n20|d11x11x6|direct".
+/// The outcome-key component naming who measured: "interp.t1" (the
+/// interpreter is serial) or "jit.t<N>", N the calling thread's
+/// omp_get_max_threads() (1 without OpenMP) — the threads a JIT routine
+/// called from this thread runs on.
+std::string engineTag(Engine E);
+
+/// The outcome-store key for (pair, stats, strategy label, engine tag). Nnz
+/// and dims are log2-bucketed so measurements generalize across inputs of
+/// similar shape: "coo3->csf|n20|d11x11x6|direct|jit.t4".
 std::string outcomeKey(const formats::Format &Src, const formats::Format &Dst,
-                       const InputStats &Stats, const std::string &Label);
+                       const InputStats &Stats, const std::string &Label,
+                       const std::string &EngineTag);
 
 /// The analytic cost model: abstract element operations to execute \p Plan
 /// on an input with \p Stats. Monotone non-decreasing in nnz for a fixed
@@ -149,9 +166,11 @@ double analyticPlanCost(const codegen::AssemblyPlan &Plan,
 /// The decision layer: enumerate, cost, consult measured outcomes, pick.
 /// \p BaseOpts are the caller's options (ablation toggles are inherited by
 /// every candidate); a caller that already forced strategies disengages
-/// the planner.
+/// the planner. Measurements are read (and candidates keyed) for engine
+/// \p E (see engineTag).
 Decision decide(const formats::Format &Src, const formats::Format &Dst,
-                const codegen::Options &BaseOpts, const InputStats &Stats);
+                const codegen::Options &BaseOpts, const InputStats &Stats,
+                Engine E = Engine::Jit);
 
 } // namespace planner
 } // namespace convgen

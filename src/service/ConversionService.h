@@ -27,10 +27,12 @@
 ///    DegradationLog and the service's own stats — the export surface the
 ///    throughput bench and a future metrics endpoint read.
 ///
-/// Beyond per-request convert(), the service offers submitBatch() — route-
-/// grouped execution where one JIT-handle acquisition serves a queue of
-/// same-route tensors — and an async submit() returning a future, both
-/// composing with the same admission/shedding/deadline discipline.
+/// Beyond per-request convert(), the service offers submitBatch() — a
+/// queue of requests run in order on the calling thread — and an async
+/// submit() returning a future. All three admit each request on its own
+/// and then run it through convert::execute(), the pipeline Converter uses
+/// too, so a request takes the same path whichever entry point it came in
+/// by.
 /// Construction also triggers the cache warm-start hook
 /// (PlanCache::maybePreloadFromEnv), so a restarted server's first
 /// requests can hit preloaded handles instead of cold compiles.
@@ -52,6 +54,7 @@
 #define CONVGEN_SERVICE_CONVERSIONSERVICE_H
 
 #include "codegen/Generator.h"
+#include "convert/Converter.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
 #include "tensor/SparseTensor.h"
@@ -60,15 +63,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 namespace convgen {
-namespace jit {
-class JitConversion;
-} // namespace jit
-
 namespace convert {
 
 /// Admission-control configuration, fixed for the service's lifetime
@@ -110,12 +108,10 @@ struct ServiceStats {
   uint64_t Batches = 0;
   /// Requests that arrived inside a batch (also counted in Submitted).
   uint64_t BatchRequests = 0;
-  /// Distinct route groups across all batches.
-  uint64_t BatchGroups = 0;
   /// submit() futures handed out (their requests also count in Submitted
   /// when the worker runs them).
   uint64_t AsyncSubmitted = 0;
-  /// convert() requests where the path planner engaged (planner on, input
+  /// Requests where the path planner engaged (planner on, input
   /// at or above the nnz floor, direct pair supported, no caller-forced
   /// strategies).
   uint64_t PlannerEngaged = 0;
@@ -129,16 +125,10 @@ struct ServiceStats {
   uint64_t PlannerMeasured = 0;
 };
 
-/// Per-call breakout a submitBatch() caller can ask for: how much cache
-/// traversal the grouping actually saved, and where each member ended up.
+/// Per-call breakout a submitBatch() caller can ask for: where each member
+/// ended up.
 struct BatchStats {
   uint64_t Requests = 0;
-  /// Distinct route groups (ForceInterpreter and invalid requests run
-  /// ungrouped and count one group each).
-  uint64_t Groups = 0;
-  /// JIT-handle acquisitions performed — at most one per group; fewer when
-  /// every member of a group was shed or expired before acquiring.
-  uint64_t HandleAcquisitions = 0;
   uint64_t Completed = 0;
   uint64_t Shed = 0;
   uint64_t DeadlineExpired = 0;
@@ -173,10 +163,11 @@ public:
   ConversionService(const ConversionService &) = delete;
   ConversionService &operator=(const ConversionService &) = delete;
 
-  /// Executes one request: admission (queue, shed), plan/JIT acquisition
-  /// through the shared single-flight PlanCache, dims-aware strategy
-  /// routing, then the conversion itself. Never aborts on request or
-  /// environment trouble; the Status taxonomy is:
+  /// Executes one request: admission (queue, shed), then convert::execute()
+  /// on the JIT engine (the interpreter under ForceInterpreter) — planner
+  /// decision, plan/JIT acquisition through the shared single-flight
+  /// PlanCache, dims-aware strategy routing, the conversion itself. Never
+  /// aborts on request or environment trouble; the Status taxonomy is:
   ///   ResourceExhausted  shed at admission — retry later or elsewhere
   ///   DeadlineExceeded   the request's deadline expired while waiting
   ///   InvalidArgument / Unsupported   the request itself is wrong
@@ -184,24 +175,15 @@ public:
   /// request completes through the interpreter, bit-exact.
   StatusOr<tensor::SparseTensor> convert(const ConversionRequest &Request);
 
-  /// Executes a batch of requests, grouped by route (PlanCache::routeKey:
-  /// pair, options, input format and dims) so one JIT-handle acquisition
-  /// through PlanCache::tryJitFor — the path convert() takes — serves
-  /// every member of a group (single-flight already dedups *compiles*;
-  /// grouping dedups the per-request route lookup and the coalesced-flight
-  /// waits). Results come back positionally —
+  /// Executes a batch of requests FIFO on the calling thread. Every
+  /// member's deadline is resolved at batch entry (its budget covers the
+  /// wait behind the members ahead of it); then each member is admitted
+  /// and executed exactly as convert() would, planner included — a batch
+  /// never bypasses shedding, and a shed or expired member fails alone
+  /// while the batch continues. Results come back positionally —
   /// Results[i] is Requests[i]'s outcome, same Status taxonomy as
-  /// convert(). Semantics:
-  ///
-  ///  * Groups execute in first-appearance order; within a group, members
-  ///    run FIFO on the calling thread, each under its own admission slot
-  ///    and its own deadline — a batch never bypasses shedding, and a shed
-  ///    or expired member fails alone while the batch continues.
-  ///  * The group's one handle acquisition is bounded by the *most
-  ///    patient* member's deadline (the handle outlives any one member);
-  ///    each member then still honors its own deadline before running.
-  ///  * ForceInterpreter and malformed (null-input) requests are not
-  ///    grouped; they execute individually in position order.
+  /// convert(). (Warm members need no grouping: each one's handle lookup
+  /// is a single route-memo hit.)
   ///
   /// \p Stats (optional) receives the per-call breakout; the service-wide
   /// counters are updated either way.
@@ -239,18 +221,12 @@ private:
 
   /// \p R's deadline: its own, else the service default, from now.
   support::Deadline deadlineFor(const ConversionRequest &R) const;
-  /// Counts and logs a deadline that expired at \p Where.
-  Status deadlineExpired(const ConversionRequest &R, const char *Where);
 
-  /// The direct native path of convert() and of every grouped
-  /// submitBatch() member: acquires \p R's route through
-  /// PlanCache::tryJitFor (bounded by \p AcquireD) unless \p Handle already
-  /// holds one for the same route, re-checks \p D, runs, and counts the
-  /// outcome. A failed acquisition leaves \p Handle empty.
-  StatusOr<tensor::SparseTensor>
-  runDirect(const ConversionRequest &R, const support::Deadline &D,
-            const support::Deadline &AcquireD,
-            std::shared_ptr<jit::JitConversion> &Handle);
+  /// One request under deadline \p D: admission, execute(), and the
+  /// service counters; \p Info receives execute()'s account.
+  StatusOr<tensor::SparseTensor> serve(const ConversionRequest &R,
+                                       const support::Deadline &D,
+                                       ExecInfo &Info);
 
   ServiceLimits Limits;
 
@@ -275,7 +251,6 @@ private:
     std::atomic<uint64_t> RequestErrors{0};
     std::atomic<uint64_t> Batches{0};
     std::atomic<uint64_t> BatchRequests{0};
-    std::atomic<uint64_t> BatchGroups{0};
     std::atomic<uint64_t> AsyncSubmitted{0};
     std::atomic<uint64_t> PlannerEngaged{0};
     std::atomic<uint64_t> PlannerForcedStrategy{0};

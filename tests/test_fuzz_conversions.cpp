@@ -10,7 +10,11 @@
 //   * the interpreter-backed Converter against the hand-written triplet
 //     oracle (structural validity + exact triplet equality), and
 //   * the JIT-compiled routine against the interpreter result at 1 and 4
-//     OpenMP threads (exact pos/crd/perm/param/vals equality).
+//     OpenMP threads (exact pos/crd/perm/param/vals equality), and
+//   * ConversionService::convert — the pipeline every service entry point
+//     shares, planner included — against the interpreter result. Under
+//     CONVGEN_PLANNER_MIN_NNZ=1 the planner decides every case, so its
+//     chosen candidates are fuzzed too.
 //
 // Every case derives from one base seed. On failure the trace names the
 // case seed and the replay invocation:
@@ -43,6 +47,7 @@
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
 #include "jit/Jit.h"
+#include "service/ConversionService.h"
 #include "support/DegradationLog.h"
 #include "support/Fault.h"
 #include "support/StringUtils.h"
@@ -149,8 +154,48 @@ void expectBitIdentical(const tensor::SparseTensor &Want,
   EXPECT_EQ(Want.Vals, Got.Vals) << Threads << " threads";
 }
 
+/// The interpreter running exactly \p Plan.
+tensor::SparseTensor interpretPlan(const codegen::Conversion &Plan,
+                                   const tensor::SparseTensor &In) {
+  ir::Interpreter Interp;
+  convert::bindSourceTensor(Interp, In);
+  ir::RunResult Result = Interp.run(Plan.Func);
+  return convert::collectTargetTensor(Plan.Target, In.Dims, Result);
+}
+
+/// Compares a planner-routed result with the direct plan's: bit for bit on
+/// an ordered source. On an \p Unordered one, segment order follows the
+/// strategy the planner picked (sorted ranking emits sorted segments, the
+/// dense-ranked default keeps the source's order; see planner/Planner.h),
+/// so only the stored nonzeros compare.
+void expectSameResult(const tensor::SparseTensor &Direct,
+                      const tensor::SparseTensor &Got, bool Unordered) {
+  if (!Unordered) {
+    expectBitIdentical(Direct, Got, 0);
+    return;
+  }
+  Got.validate();
+  EXPECT_TRUE(
+      tensor::equal(tensor::toTriplets(Got), tensor::toTriplets(Direct)))
+      << "the planner-routed result holds other nonzeros than the direct "
+         "plan's";
+}
+
+/// The service the cases go through: roomy enough that the concurrent
+/// stream never sheds. Leaked, like ConversionService::instance().
+convert::ConversionService &fuzzService() {
+  static convert::ConversionService *Service = [] {
+    convert::ServiceLimits Limits;
+    Limits.MaxInflight = 64;
+    Limits.QueueDepth = 64;
+    return new convert::ConversionService(Limits);
+  }();
+  return *Service;
+}
+
 /// One random case: draws the tuple, runs interpreter-vs-oracle and (when
-/// a compiler exists) JIT-vs-interpreter at 1 and 4 threads. With \p
+/// a compiler exists) JIT-vs-interpreter at 1 and 4 threads and
+/// service-vs-interpreter. With \p
 /// Concurrent set the case must stay thread-safe: no setenv (knob/fault
 /// randomization) and no process-wide OpenMP thread flips — the tuple,
 /// pattern, and differential checks are unchanged.
@@ -252,6 +297,10 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
 
   formats::Format Src = formats::standardFormatOrDie(SrcName);
   formats::Format Dst = formats::standardFormatOrDie(DstName);
+  std::vector<std::string> DimNames;
+  for (int64_t D : Dims)
+    DimNames.push_back(std::to_string(D));
+  SCOPED_TRACE(SrcName + " -> " + DstName + ", dims " + join(DimNames, "x"));
   std::string Why;
   if (!codegen::conversionSupported(Src, Dst, Dims, &Why)) {
     ++Stats.Skipped;
@@ -300,23 +349,37 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
 
   if (!jit::jitAvailable())
     return;
+  // The JIT handle runs the direct plan, so its bit-exact reference is the
+  // interpreter on that same plan; the Converter above and the service
+  // below go through the planner.
   codegen::Options Opts =
       codegen::optionsForDims(Src, Dst, codegen::Options(), Dims);
+  tensor::SparseTensor Direct =
+      interpretPlan(*convert::PlanCache::instance().plan(Src, Dst, Opts), In);
+  expectSameResult(Direct, Out, Shuffled);
   auto Native = convert::PlanCache::instance().jit(Src, Dst, Opts);
   if (Concurrent) {
     // No OMP_NUM_THREADS flips from worker threads; the routine runs at
     // the ambient thread count (nested parallel regions when several
     // workers convert at once — itself part of the stress).
     tensor::SparseTensor FromJit = Native->run(In);
-    expectBitIdentical(Out, FromJit, 0);
+    expectBitIdentical(Direct, FromJit, 0);
   } else {
     for (int Threads : {1, 4}) {
       setThreads(Threads);
       tensor::SparseTensor FromJit = Native->run(In);
-      expectBitIdentical(Out, FromJit, Threads);
+      expectBitIdentical(Direct, FromJit, Threads);
     }
     restoreThreads();
   }
+  convert::ConversionRequest Request;
+  Request.Source = Src;
+  Request.Target = Dst;
+  Request.Input = &In;
+  StatusOr<tensor::SparseTensor> Served = fuzzService().convert(Request);
+  ASSERT_TRUE(Served.ok()) << "through the service: "
+                           << Served.status().toString();
+  expectSameResult(Direct, *Served, Shuffled);
   ++Stats.JitCompared;
 }
 
@@ -350,7 +413,8 @@ TEST(FuzzConversions, RandomizedDifferentialAgainstTheOracle) {
       break;
   }
   std::printf("[  fuzz    ] %d cases run (%d on shuffled coo sources), %d "
-              "unsupported-pair skips, %d JIT bit-compared (seed 0x%llx)\n",
+              "unsupported-pair skips, %d JIT and service compared "
+              "(seed 0x%llx)\n",
               Stats.Ran, Stats.Shuffled, Stats.Skipped, Stats.JitCompared,
               static_cast<unsigned long long>(FuzzSeed));
   if (FuzzFaults || support::faultsConfigured())
@@ -398,7 +462,7 @@ TEST(FuzzConversions, ConcurrentCaseStreamThroughTheSharedCache) {
     Total.JitCompared += S.JitCompared;
   }
   std::printf("[  fuzz    ] concurrent: %d threads, %d cases run, "
-              "%d unsupported-pair skips, %d JIT bit-compared "
+              "%d unsupported-pair skips, %d JIT and service compared "
               "(seed 0x%llx)\n",
               FuzzThreads, Total.Ran, Total.Skipped, Total.JitCompared,
               static_cast<unsigned long long>(FuzzSeed));

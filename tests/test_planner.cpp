@@ -27,6 +27,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 using namespace convgen;
 using convgen::testing::ScopedEnv;
 
@@ -325,6 +329,67 @@ TEST(PlannerAutoTuning, InsideTheMarginTheAnalyticChoiceStands) {
   planner::Decision D = planner::decide(Csr, Csc, codegen::Options(), S);
   EXPECT_EQ(D.Chosen.Label, "direct");
   EXPECT_FALSE(D.MeasuredWin);
+}
+
+TEST(PlannerAutoTuning, OutcomeKeysNameTheEngineAndThreadCount) {
+  OutcomeGuard Guard;
+  formats::Format Csr = formats::standardFormatOrDie("csr");
+  formats::Format Csc = formats::standardFormatOrDie("csc");
+  planner::InputStats S = statsFor(10000, {100, 100});
+  auto keyOf = [&](planner::Engine E) {
+    return planner::decide(Csr, Csc, codegen::Options(), S, E)
+        .Chosen.OutcomeKey;
+  };
+  EXPECT_EQ(keyOf(planner::Engine::Interpreter),
+            "csr->csc|n13|d6x6|direct|interp.t1");
+  // The four-argument call is the JIT engine at this thread's OpenMP
+  // thread count, the count a routine called from here runs on.
+  EXPECT_EQ(planner::decide(Csr, Csc, codegen::Options(), S).Chosen.OutcomeKey,
+            keyOf(planner::Engine::Jit));
+#ifdef _OPENMP
+  int Saved = omp_get_max_threads();
+  omp_set_num_threads(3);
+  EXPECT_EQ(keyOf(planner::Engine::Jit), "csr->csc|n13|d6x6|direct|jit.t3");
+  omp_set_num_threads(Saved);
+#else
+  EXPECT_EQ(keyOf(planner::Engine::Jit), "csr->csc|n13|d6x6|direct|jit.t1");
+#endif
+}
+
+TEST(PlannerAutoTuning, InterpreterOutcomesNeverSteerTheNativeDecision) {
+  OutcomeGuard Guard;
+  formats::Format Csr = formats::standardFormatOrDie("csr");
+  formats::Format Csc = formats::standardFormatOrDie("csc");
+  planner::InputStats S = statsFor(10000, {100, 100});
+  planner::Decision Native = planner::decide(Csr, Csc, codegen::Options(), S);
+  ASSERT_TRUE(Native.Engaged) << Native.Why;
+  ASSERT_GE(Native.Considered.size(), 2u);
+
+  // Teach the interpreter engine that a variant beats the favourite by far
+  // more than the margin.
+  planner::Decision Interp = planner::decide(
+      Csr, Csc, codegen::Options(), S, planner::Engine::Interpreter);
+  const planner::Candidate *Variant = nullptr;
+  for (const planner::Candidate &C : Interp.Considered)
+    if (C.Label != Interp.Chosen.Label)
+      Variant = &C;
+  ASSERT_NE(Variant, nullptr);
+  convert::PlanCache &Cache = convert::PlanCache::instance();
+  for (int64_t I = 0; I < 10 * codegen::knobs().PlannerTrustAfter; ++I) {
+    Cache.recordOutcome(Interp.Chosen.OutcomeKey, 1.0);
+    Cache.recordOutcome(Variant->OutcomeKey, 0.001);
+  }
+  planner::Decision InterpHot = planner::decide(
+      Csr, Csc, codegen::Options(), S, planner::Engine::Interpreter);
+  EXPECT_EQ(InterpHot.Chosen.Label, Variant->Label)
+      << "the interpreter engine did not learn from its own outcomes";
+
+  // The native decision still comes from the analytic model alone.
+  planner::Decision After = planner::decide(Csr, Csc, codegen::Options(), S);
+  EXPECT_EQ(After.Chosen.Label, Native.Chosen.Label);
+  EXPECT_FALSE(After.MeasuredWin);
+  for (const planner::Candidate &C : After.Considered)
+    EXPECT_FALSE(C.Measured) << C.Label;
 }
 
 TEST(PlannerAutoTuning, OutcomeRecordsAccumulateAndReset) {

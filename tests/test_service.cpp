@@ -20,6 +20,7 @@
 #include "formats/Standard.h"
 #include "tensor/Generators.h"
 #include "jit/Jit.h"
+#include "planner/Planner.h"
 #include "service/ConversionService.h"
 #include "support/Deadline.h"
 #include "support/DegradationLog.h"
@@ -30,13 +31,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sched.h>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace convgen;
@@ -726,6 +730,10 @@ TEST(Service, DefaultDeadlineFromLimitsApplies) {
     ASSERT_FALSE(Out.ok());
     EXPECT_EQ(Out.status().code(), ErrorCode::DeadlineExceeded);
     EXPECT_GE(Service.stats().DeadlineExpired, 1u);
+    // One expiry, logged once: by the watchdog that cut the compile short.
+    EXPECT_EQ(
+        DegradationLog::instance().snapshot()[Degradation::DeadlineExceeded],
+        1u);
   }
   // Injection gone: an explicitly unbounded request compiles for real —
   // which it can only do if the deadline-bound handle was not cached.
@@ -742,69 +750,8 @@ TEST(Service, DefaultDeadlineFromLimitsApplies) {
 }
 
 //===------------------------------------------------------------------===//
-// submitBatch: route grouping, per-member admission and deadlines.
+// submitBatch: per-member admission and deadlines.
 //===------------------------------------------------------------------===//
-
-TEST(Batch, GroupsByRouteAndAcquiresOneHandlePerGroup) {
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-
-  WorkItem A1 = makeItem("coo", "csr", smallMatrix());
-  WorkItem A2 =
-      makeItem("coo", "csr", tensor::genBandedRandom(20, 20, 3.0, 5, 2, 9));
-  WorkItem B = makeItem("csr", "csc", smallMatrix());
-  WorkItem C = makeItem("coo3", "csf", smallTensor3());
-  resetBooks();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 4;
-  ConversionService Service(Limits);
-
-  // Five members, three plan keys, four routes: the repeated coo->csr
-  // tensor shares its group and handle acquisition; the other coo->csr
-  // tensor has other dims, so it is its own route (and group) on the same
-  // compiled handle.
-  std::vector<const WorkItem *> Order = {&A1, &B, &A2, &C, &A1};
-  std::vector<ConversionRequest> Requests;
-  for (const WorkItem *W : Order) {
-    ConversionRequest R;
-    R.Source = W->Src;
-    R.Target = W->Dst;
-    R.Input = &W->In;
-    Requests.push_back(R);
-  }
-
-  PlanCacheStats Before = PlanCache::instance().stats();
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-
-  ASSERT_EQ(Results.size(), Requests.size());
-  for (size_t I = 0; I < Results.size(); ++I) {
-    ASSERT_TRUE(Results[I].ok())
-        << Order[I]->Label << ": " << Results[I].status().toString();
-    expectBitIdentical(Order[I]->Want, *Results[I], Order[I]->Label);
-  }
-  EXPECT_EQ(BS.Requests, Requests.size());
-  EXPECT_EQ(BS.Groups, 4u);
-  EXPECT_EQ(BS.HandleAcquisitions, 4u);
-  EXPECT_EQ(BS.Completed, Requests.size());
-  EXPECT_EQ(BS.Shed + BS.DeadlineExpired + BS.RequestErrors, 0u);
-
-  // The grouping's whole point: one cache traversal per group, zero for
-  // the other members (single-flight would at best have made them
-  // coalesced hits; the batch skips the traversal entirely). One compile
-  // per plan key; the second coo->csr route hits the first one's handle.
-  PlanCacheStats After = PlanCache::instance().stats();
-  EXPECT_EQ(After.JitMisses - Before.JitMisses, 3u);
-  EXPECT_EQ(After.JitHits - Before.JitHits, 1u);
-
-  convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted, Requests.size());
-  EXPECT_EQ(S.Completed, Requests.size());
-  EXPECT_EQ(S.Batches, 1u);
-  EXPECT_EQ(S.BatchRequests, Requests.size());
-  EXPECT_EQ(S.BatchGroups, 4u);
-}
 
 TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
   if (!jit::jitAvailable())
@@ -858,7 +805,6 @@ TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
     }
     EXPECT_EQ(BS.Shed, 2u);
     EXPECT_EQ(BS.Completed, 0u);
-    EXPECT_EQ(BS.HandleAcquisitions, 0u);
     Occupant.join();
   }
 
@@ -872,7 +818,6 @@ TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
     expectBitIdentical(Fast.Want, *Results[I], Fast.Label);
   }
   EXPECT_EQ(BS.Completed, 2u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
   convert::ServiceStats S = Service.stats();
   EXPECT_EQ(S.Submitted,
             S.Completed + S.Shed + S.DeadlineExpired + S.RequestErrors);
@@ -891,10 +836,10 @@ TEST(Batch, MemberDeadlineExpiresMidBatchWhileOthersComplete) {
   Limits.MaxInflight = 2;
   ConversionService Service(Limits);
 
-  // Member 0 is unbounded and pays the group's compile; member 1 budgets
-  // 1ms, resolved at batch entry — the compile ahead of it in FIFO order
-  // exhausts that budget, so it must expire alone while member 0 (and the
-  // group's handle) succeed.
+  // Member 0 is unbounded and pays the compile; member 1 budgets 1ms,
+  // resolved at batch entry — the compile ahead of it in FIFO order
+  // exhausts that budget, so it must expire alone while member 0
+  // succeeds.
   std::vector<ConversionRequest> Requests(2);
   for (ConversionRequest &R : Requests) {
     R.Source = W.Src;
@@ -912,10 +857,9 @@ TEST(Batch, MemberDeadlineExpiresMidBatchWhileOthersComplete) {
   EXPECT_EQ(Results[1].status().code(), ErrorCode::DeadlineExceeded);
   EXPECT_EQ(BS.Completed, 1u);
   EXPECT_EQ(BS.DeadlineExpired, 1u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
 }
 
-TEST(Batch, ForceInterpreterAndInvalidRequestsRunUngrouped) {
+TEST(Batch, ForceInterpreterAndInvalidMembersResolveInPlace) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
   WorkItem W = makeItem("coo", "csr", smallMatrix());
   resetBooks();
@@ -944,10 +888,6 @@ TEST(Batch, ForceInterpreterAndInvalidRequestsRunUngrouped) {
   ASSERT_FALSE(Results[2].ok());
   EXPECT_EQ(Results[2].status().code(), ErrorCode::InvalidArgument);
 
-  // The interpreter and malformed members are singleton groups — a native
-  // handle must not be shared with (or acquired for) them.
-  EXPECT_EQ(BS.Groups, 3u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
   EXPECT_EQ(BS.Completed, 2u);
   EXPECT_EQ(BS.RequestErrors, 1u);
   convert::ServiceStats S = Service.stats();
@@ -1033,7 +973,6 @@ TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
       EXPECT_GE(Now.RequestErrors, Prev.RequestErrors);
       EXPECT_GE(Now.Batches, Prev.Batches);
       EXPECT_GE(Now.BatchRequests, Prev.BatchRequests);
-      EXPECT_GE(Now.BatchGroups, Prev.BatchGroups);
       EXPECT_GE(Now.AsyncSubmitted, Prev.AsyncSubmitted);
       EXPECT_GE(Now.Submitted, Now.Completed + Now.Shed +
                                    Now.DeadlineExpired + Now.RequestErrors);
@@ -1096,4 +1035,165 @@ TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
   EXPECT_EQ(S.AsyncSubmitted, AsyncTotal);
   EXPECT_EQ(S.Submitted,
             S.Completed + S.Shed + S.DeadlineExpired + S.RequestErrors);
+}
+
+//===------------------------------------------------------------------===//
+// One execution pipeline behind every entry point.
+//===------------------------------------------------------------------===//
+
+namespace {
+
+/// The four ways a request can enter the runtime, each converting \p R
+/// once: the interpreter-backed Converter, then the service's convert(),
+/// submit() and a one-member submitBatch() on the JIT engine.
+using EntryPoint =
+    std::pair<const char *, std::function<StatusOr<tensor::SparseTensor>()>>;
+
+std::vector<EntryPoint> entryPoints(ConversionService &Service,
+                                    const ConversionRequest &R) {
+  return {
+      {"Converter::tryRun",
+       [&R] {
+         StatusOr<convert::Converter> C =
+             convert::Converter::tryCreate(R.Source, R.Target, R.Opts);
+         return C.ok() ? C->tryRun(*R.Input)
+                       : StatusOr<tensor::SparseTensor>(C.status());
+       }},
+      {"convert", [&] { return Service.convert(R); }},
+      {"submit", [&] { return Service.submit(R).get(); }},
+      {"submitBatch",
+       [&] {
+         std::vector<StatusOr<tensor::SparseTensor>> Out =
+             Service.submitBatch({R});
+         return std::move(Out.front());
+       }},
+  };
+}
+
+uint64_t observations(const std::string &Key) {
+  convert::OutcomeRecord Rec;
+  return PlanCache::instance().outcomeFor(Key, &Rec) ? Rec.Count : 0;
+}
+
+} // namespace
+
+TEST(Pipeline, EveryEntryPointTakesTheSamePathAndRecordsItOnce) {
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv Outcomes("CONVGEN_OUTCOMES", "");
+  ScopedEnv On("CONVGEN_PLANNER", "on");
+  ScopedEnv MinNnz("CONVGEN_PLANNER_MIN_NNZ", "1");
+  std::vector<WorkItem> Items;
+  Items.push_back(makeItem("csr", "csc", smallMatrix()));
+  Items.push_back(makeItem("coo3", "csf", smallTensor3()));
+  Items.push_back(makeItem("coo3", "csf", hugeDimTensor3()));
+  resetBooks();
+  PlanCache &Cache = PlanCache::instance();
+  Cache.resetOutcomes();
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 2;
+  Limits.QueueDepth = 8;
+  ConversionService Service(Limits);
+
+  // Each item runs twice: on the analytic choice, then after both engines
+  // were taught that some other candidate is far faster, so the variant
+  // path (a forced strategy or a chain) runs through every entry point too.
+  for (const WorkItem &W : Items) {
+    planner::InputStats Stats = planner::InputStats::fromTensor(W.In);
+    std::string Fast;
+    for (bool Taught : {false, true}) {
+      SCOPED_TRACE(W.Label + (Taught ? " (taught)" : " (analytic)"));
+      if (Taught) {
+        planner::Decision D =
+            planner::decide(W.Src, W.Dst, codegen::Options(), Stats);
+        for (const planner::Candidate &C : D.Considered)
+          if (C.Label != D.Chosen.Label)
+            Fast = C.Label;
+        ASSERT_FALSE(Fast.empty()) << "no other candidate to teach";
+        for (planner::Engine E :
+             {planner::Engine::Jit, planner::Engine::Interpreter}) {
+          planner::Decision ED =
+              planner::decide(W.Src, W.Dst, codegen::Options(), Stats, E);
+          for (int64_t I = 0; I < codegen::knobs().PlannerTrustAfter; ++I)
+            for (const planner::Candidate &C : ED.Considered)
+              Cache.recordOutcome(C.OutcomeKey, C.Label == Fast ? 0.01 : 1.0);
+        }
+      }
+      planner::Decision Native = planner::decide(
+          W.Src, W.Dst, codegen::Options(), Stats, planner::Engine::Jit);
+      planner::Decision Interp =
+          planner::decide(W.Src, W.Dst, codegen::Options(), Stats,
+                          planner::Engine::Interpreter);
+      ASSERT_TRUE(Native.Engaged) << Native.Why;
+      ASSERT_EQ(Native.Chosen.Label, Interp.Chosen.Label);
+      ASSERT_NE(Native.Chosen.OutcomeKey, Interp.Chosen.OutcomeKey);
+      if (Taught)
+        EXPECT_EQ(Native.Chosen.Label, Fast);
+
+      ConversionRequest R;
+      R.Source = W.Src;
+      R.Target = W.Dst;
+      R.Input = &W.In;
+      uint64_t WantInterp = observations(Interp.Chosen.OutcomeKey);
+      uint64_t WantNative = observations(Native.Chosen.OutcomeKey);
+      for (const EntryPoint &Entry : entryPoints(Service, R)) {
+        StatusOr<tensor::SparseTensor> Out = Entry.second();
+        ASSERT_TRUE(Out.ok()) << Entry.first << ": " << Out.status().toString();
+        expectBitIdentical(W.Want, *Out, W.Label + " via " + Entry.first);
+        if (std::string(Entry.first) == "Converter::tryRun")
+          ++WantInterp;
+        else
+          ++WantNative;
+        EXPECT_EQ(observations(Interp.Chosen.OutcomeKey), WantInterp)
+            << Entry.first;
+        EXPECT_EQ(observations(Native.Chosen.OutcomeKey), WantNative)
+            << Entry.first;
+      }
+    }
+  }
+  convert::ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Completed, S.Submitted);
+  EXPECT_EQ(S.PlannerEngaged, S.Submitted);
+  EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::PlannerFallback],
+            0u);
+  Cache.resetOutcomes();
+}
+
+TEST(Pipeline, UnsortedSourceIsARequestErrorAtEveryEntryPoint) {
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv On("CONVGEN_PLANNER", "on");
+  ScopedEnv MinNnz("CONVGEN_PLANNER_MIN_NNZ", "1");
+  formats::Format Coo = formats::standardFormatOrDie("coo");
+  formats::Format Bcsr = formats::standardFormatOrDie("bcsr");
+  ASSERT_GT(PlanCache::instance().plan(Coo, Bcsr)->LexCheckLevels, 0)
+      << "the pair must validate its source order";
+  // Shuffle the entries by reversing them: the same nonzeros, rows
+  // descending.
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo, smallMatrix());
+  for (tensor::LevelStorage &L : In.Levels)
+    std::reverse(L.Crd.begin(), L.Crd.end());
+  std::reverse(In.Vals.begin(), In.Vals.end());
+  resetBooks();
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 2;
+  ConversionService Service(Limits);
+  ConversionRequest R;
+  R.Source = Coo;
+  R.Target = Bcsr;
+  R.Input = &In;
+  uint64_t ServiceCalls = 0;
+  for (const EntryPoint &Entry : entryPoints(Service, R)) {
+    StatusOr<tensor::SparseTensor> Out = Entry.second();
+    ASSERT_FALSE(Out.ok()) << Entry.first << " accepted an unsorted source";
+    EXPECT_EQ(Out.status().code(), ErrorCode::InvalidArgument) << Entry.first;
+    if (std::string(Entry.first) != "Converter::tryRun")
+      ++ServiceCalls;
+    EXPECT_EQ(Service.stats().RequestErrors, ServiceCalls) << Entry.first;
+  }
+  convert::ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Submitted, ServiceCalls);
+  EXPECT_EQ(S.Completed, 0u);
+  EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::PlannerFallback],
+            0u);
 }
