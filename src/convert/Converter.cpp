@@ -292,20 +292,14 @@ convert::execute(Engine E, const formats::Format &Source,
   X.Engaged = Route.Engaged;
   X.MeasuredWin = Route.MeasuredWin;
   double Seconds = 0;
-  if (Route.Engaged && Route.Chosen.Label != "direct") {
-    // Acceptance contract first, chosen path second: a source the direct
-    // plan rejects (unsorted where its dedup assembly requires order) is a
-    // request error whichever path the planner picked. Checked on the plan
-    // alone, so it compiles nothing.
-    const planner::Hop &Direct = Route.Considered.front().Hops.front();
-    StatusOr<std::shared_ptr<const codegen::Conversion>> DirectPlan =
-        PlanCache::instance().tryPlan(Direct.Src, Direct.Dst, Direct.Opts,
-                                      Deadline);
-    if (!DirectPlan.ok())
-      return DirectPlan.status();
-    Status Order = checkSourceOrder(**DirectPlan, In);
-    if (!Order.ok())
-      return Order;
+  // A variant whose layout matches the direct plan's only on a source in
+  // lexicographic order (NeedsOrderedSource) runs only on such a source;
+  // any other (a shuffled COO) takes the direct path, which validates the
+  // order it needs itself, so an unsorted source is a request error on
+  // every path, never a fallback.
+  if (Route.Engaged && Route.Chosen.Label != "direct" &&
+      (!Route.Chosen.NeedsOrderedSource ||
+       In.lexOrderedUpTo(static_cast<int>(In.Format.Levels.size())))) {
     bool Degraded = false;
     StatusOr<tensor::SparseTensor> Planned =
         runPath(E, Source, Target, Opts, &Route.Chosen, In, Deadline,
@@ -319,8 +313,8 @@ convert::execute(Engine E, const formats::Format &Source,
     }
     if (Planned.status().code() == ErrorCode::DeadlineExceeded)
       return Planned;
-    // The input passed the acceptance check, so any other failure is the
-    // variant's: the planner must never make a convertible input fail.
+    // Any other failure is the variant's: the planner must never make a
+    // convertible input fail.
     support::DegradationLog::instance().record(
         support::Degradation::PlannerFallback,
         strfmt("%s -> %s: planned path '%s' failed (%s); using the direct "

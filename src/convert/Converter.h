@@ -103,10 +103,11 @@ struct ExecInfo {
 ///  1. fails with DeadlineExceeded if \p Deadline has already expired;
 ///  2. rejects a tensor whose format is not \p Source (InvalidArgument);
 ///  3. asks planner::decide for this engine's path;
-///  4. when the planner departs from the direct plan, first applies the
-///     direct plan's source-order check, so planner-on and planner-off
-///     accept exactly the same inputs (the direct path checks order as it
-///     runs);
+///  4. runs a chosen variant marked NeedsOrderedSource only on a source
+///     stored in lexicographic order, where its output is the direct
+///     plan's bit for bit; any other source takes the direct path, which
+///     checks the order it needs as it runs, so planner-on and planner-off
+///     accept the same inputs and return the same layout;
 ///  5. acquires every hop (interpreter: PlanCache::tryPlan, dims-routed for
 ///     the direct hop; JIT: PlanCache::tryJitFor for the direct hop,
 ///     PlanCache::tryJit for variant hops), then runs the chain, checking

@@ -73,6 +73,18 @@ std::string planSignature(const codegen::AssemblyPlan &P) {
   return S;
 }
 
+/// Per target level: whether \p P places the level's entries in the
+/// source's iteration order (plain or workspace-dedup insertion) rather
+/// than as a pure function of the coordinates (a dense rank array or a
+/// sorted list, both in coordinate order). Plans that agree level by level
+/// lay out every source alike.
+std::vector<bool> sourceOrderedLevels(const codegen::AssemblyPlan &P) {
+  std::vector<bool> Out(P.Sorted.size());
+  for (size_t K = 0; K < Out.size(); ++K)
+    Out[K] = !P.Sorted[K] && !P.Ranked[K];
+  return Out;
+}
+
 } // namespace
 
 std::string planner::engineTag(Engine E) {
@@ -230,6 +242,7 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
 
   std::set<std::string> Signatures;
   Signatures.insert(planSignature(Default));
+  std::vector<bool> DirectLayout = sourceOrderedLevels(Default);
 
   Candidate Def;
   Def.Kind = Candidate::Path::Direct;
@@ -257,6 +270,8 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
     C.Kind = Candidate::Path::Direct;
     C.Label = Label;
     C.Hops.push_back(Hop{Src, Dst, Forced});
+    C.NeedsOrderedSource = Default.LexCheckLevels > 0 ||
+                           sourceOrderedLevels(P) != DirectLayout;
     C.AnalyticCost = analyticPlanCost(P, Stats);
     D.Considered.push_back(std::move(C));
   };
@@ -305,6 +320,7 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
       C.Label = "via-coo";
       C.Hops.push_back(Hop{Src, Mid, H1});
       C.Hops.push_back(Hop{Mid, Dst, H2});
+      C.NeedsOrderedSource = true;
       // Materializing the intermediate costs one coordinate tuple + value
       // write and read per nonzero.
       C.AnalyticCost = analyticPlanCost(P1, Stats) +

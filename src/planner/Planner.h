@@ -37,17 +37,20 @@
 /// keep competing on analytic cost, so the first few conversions of a new
 /// shape explore and later ones exploit.
 ///
-/// Correctness contract: every candidate computes the identical output
-/// tensor (strategies are pure implementation choices, and chainLegal()
-/// rejects intermediates that would drop information the target preserves
-/// — see the duplicate-tuple and order-requirement predicates), bit-for-bit
-/// whenever the source is stored in lexicographic order. On an unordered
-/// source (a shuffled COO) only the stored set of nonzeros is common:
-/// sorted-ranking candidates emit sorted segments where the dense-ranked
-/// default keeps the source's order. The planner also preserves the direct
-/// path's acceptance behaviour: a source tensor the default plan would
-/// reject (unsorted where its dedup assembly requires order) is rejected
-/// no matter which path the planner chose.
+/// Correctness contract: every request is served the direct plan's output
+/// bit for bit. On a source stored in lexicographic order every candidate
+/// computes exactly that output (strategies are pure implementation
+/// choices, and chainLegal() rejects intermediates that would drop
+/// information the target preserves — see the duplicate-tuple and
+/// order-requirement predicates). On any other source (a shuffled COO) a
+/// candidate that places some level in coordinate order where the direct
+/// plan follows the source's order would sort segments the direct plan
+/// does not; such candidates carry NeedsOrderedSource, and
+/// convert::execute() runs them only on an ordered source, serving every
+/// other one the direct path. That also preserves the direct path's
+/// acceptance behaviour: a source tensor the default plan would reject
+/// (unsorted where its dedup assembly requires order) is rejected no
+/// matter which path the planner chose.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +101,13 @@ struct Candidate {
   std::string Label;
   /// One hop for Direct, two for TwoHop (source -> mid, mid -> target).
   std::vector<Hop> Hops;
+  /// The candidate may run only on a source stored in lexicographic order:
+  /// it is a chain or places some level by another method than the direct
+  /// plan (in coordinate order where the direct plan follows the source's
+  /// order, or the reverse), so only there do the layouts agree; or the
+  /// direct plan itself requires order (LexCheckLevels), and rejecting an
+  /// unsorted source must not depend on the path.
+  bool NeedsOrderedSource = false;
   /// Abstract element-operation estimate from the analytic model (not
   /// seconds; comparable only across candidates of one decide() call).
   double AnalyticCost = 0;

@@ -112,6 +112,61 @@ void SparseTensor::validate() const {
                       static_cast<long long>(Size)));
 }
 
+namespace {
+
+/// True if the first \p CheckLevels levels are a compressed root followed
+/// by singletons (a COO-style group), whose stored tuples are the columns
+/// of the crd arrays. Then \p *Ordered is set by one pass comparing each
+/// tuple with its predecessor, and \p *At names the first regression.
+bool cooTuplesOrdered(const SparseTensor &T, int CheckLevels, bool *Ordered,
+                      size_t *At) {
+  std::vector<const int32_t *> Crd;
+  for (int K = 0; K < CheckLevels; ++K) {
+    LevelKind Kind = T.Format.Levels[static_cast<size_t>(K)].Kind;
+    if (Kind != (K ? LevelKind::Singleton : LevelKind::Compressed))
+      return false;
+    Crd.push_back(T.Levels[static_cast<size_t>(K)].Crd.data());
+  }
+  size_t N = T.Levels[0].Crd.size();
+  *Ordered = true;
+  for (size_t P = 1; P < N && *Ordered; ++P)
+    for (const int32_t *C : Crd)
+      if (C[P] != C[P - 1]) {
+        if (C[P] < C[P - 1]) {
+          *Ordered = false;
+          *At = P;
+        }
+        break;
+      }
+  return true;
+}
+
+/// True if the first \p CheckLevels levels are dense or compressed and
+/// every compressed segment strictly increases: then every level's
+/// coordinate prefixes strictly increase in storage order, so the tuples
+/// are ordered. False says nothing (a tie may still be ordered).
+bool siblingsStrictlyIncrease(const SparseTensor &T, int CheckLevels) {
+  for (int K = 0; K < CheckLevels; ++K) {
+    const LevelStorage &L = T.Levels[static_cast<size_t>(K)];
+    switch (T.Format.Levels[static_cast<size_t>(K)].Kind) {
+    case LevelKind::Dense:
+      break;
+    case LevelKind::Compressed:
+      for (size_t P = 0; P + 1 < L.Pos.size(); ++P)
+        for (int64_t Q = int64_t(L.Pos[P]) + 1; Q < L.Pos[P + 1]; ++Q)
+          if (L.Crd[static_cast<size_t>(Q)] <=
+              L.Crd[static_cast<size_t>(Q) - 1])
+            return false;
+      break;
+    default:
+      return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
+
 bool SparseTensor::lexOrderedUpTo(int CheckLevels, std::string *Why) const {
   CONVGEN_ASSERT(CheckLevels <= static_cast<int>(Format.Levels.size()),
                  "lex check deeper than the format");
@@ -138,13 +193,26 @@ bool SparseTensor::lexOrderedUpTo(int CheckLevels, std::string *Why) const {
       break; // Fall through to the generic walker.
     }
   }
+  // Flat scans for the shapes the planner's order gate meets in practice
+  // (coo-style tuples, and trees of sorted unique segments); the generic
+  // walker below decides every other case exactly.
+  bool Ordered = true;
+  size_t At = 0;
+  if (cooTuplesOrdered(*this, CheckLevels, &Ordered, &At)) {
+    if (!Ordered && Why)
+      *Why = strfmt("stored tuple at position %zu regresses "
+                    "lexicographically (first %d levels)",
+                    At, CheckLevels);
+    return Ordered;
+  }
+  if (siblingsStrictlyIncrease(*this, CheckLevels))
+    return true;
   std::vector<remap::NumericDimBounds> Bounds =
       remap::analyzeBoundsNumeric(Format.Remap, Dims);
 
   // Depth-first walk over the first CheckLevels levels in storage order,
   // comparing each coordinate tuple against its predecessor.
   std::vector<int64_t> Prev, Cur(static_cast<size_t>(CheckLevels));
-  bool Ordered = true;
   std::function<void(int, int64_t)> Walk = [&](int K, int64_t Parent) {
     if (!Ordered)
       return;

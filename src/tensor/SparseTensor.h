@@ -67,8 +67,9 @@ struct SparseTensor {
   /// a valid tensor but NOT lex-ordered. Conversion plans whose dedup
   /// assembly trusts the source's iteration order (Conversion's
   /// LexCheckLevels) run this check per input and reject unsorted sources
-  /// instead of assembling garbage. On failure \p Why (optional) names the
-  /// offending position.
+  /// instead of assembling garbage, and convert::execute() runs a planner
+  /// variant marked NeedsOrderedSource only on a source ordered at every
+  /// level. On failure \p Why (optional) names the offending position.
   bool lexOrderedUpTo(int Levels, std::string *Why = nullptr) const;
 
   /// Human-readable dump of the storage arrays (small tensors only);

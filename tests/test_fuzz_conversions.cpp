@@ -154,33 +154,6 @@ void expectBitIdentical(const tensor::SparseTensor &Want,
   EXPECT_EQ(Want.Vals, Got.Vals) << Threads << " threads";
 }
 
-/// The interpreter running exactly \p Plan.
-tensor::SparseTensor interpretPlan(const codegen::Conversion &Plan,
-                                   const tensor::SparseTensor &In) {
-  ir::Interpreter Interp;
-  convert::bindSourceTensor(Interp, In);
-  ir::RunResult Result = Interp.run(Plan.Func);
-  return convert::collectTargetTensor(Plan.Target, In.Dims, Result);
-}
-
-/// Compares a planner-routed result with the direct plan's: bit for bit on
-/// an ordered source. On an \p Unordered one, segment order follows the
-/// strategy the planner picked (sorted ranking emits sorted segments, the
-/// dense-ranked default keeps the source's order; see planner/Planner.h),
-/// so only the stored nonzeros compare.
-void expectSameResult(const tensor::SparseTensor &Direct,
-                      const tensor::SparseTensor &Got, bool Unordered) {
-  if (!Unordered) {
-    expectBitIdentical(Direct, Got, 0);
-    return;
-  }
-  Got.validate();
-  EXPECT_TRUE(
-      tensor::equal(tensor::toTriplets(Got), tensor::toTriplets(Direct)))
-      << "the planner-routed result holds other nonzeros than the direct "
-         "plan's";
-}
-
 /// The service the cases go through: roomy enough that the concurrent
 /// stream never sheds. Leaked, like ConversionService::instance().
 convert::ConversionService &fuzzService() {
@@ -349,26 +322,23 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
 
   if (!jit::jitAvailable())
     return;
-  // The JIT handle runs the direct plan, so its bit-exact reference is the
-  // interpreter on that same plan; the Converter above and the service
-  // below go through the planner.
+  // The JIT handle runs the direct plan; the Converter above and the
+  // service below go through the planner, which must serve the direct
+  // plan's output bit for bit on ordered and shuffled sources alike.
   codegen::Options Opts =
       codegen::optionsForDims(Src, Dst, codegen::Options(), Dims);
-  tensor::SparseTensor Direct =
-      interpretPlan(*convert::PlanCache::instance().plan(Src, Dst, Opts), In);
-  expectSameResult(Direct, Out, Shuffled);
   auto Native = convert::PlanCache::instance().jit(Src, Dst, Opts);
   if (Concurrent) {
     // No OMP_NUM_THREADS flips from worker threads; the routine runs at
     // the ambient thread count (nested parallel regions when several
     // workers convert at once — itself part of the stress).
     tensor::SparseTensor FromJit = Native->run(In);
-    expectBitIdentical(Direct, FromJit, 0);
+    expectBitIdentical(Out, FromJit, 0);
   } else {
     for (int Threads : {1, 4}) {
       setThreads(Threads);
       tensor::SparseTensor FromJit = Native->run(In);
-      expectBitIdentical(Direct, FromJit, Threads);
+      expectBitIdentical(Out, FromJit, Threads);
     }
     restoreThreads();
   }
@@ -379,7 +349,7 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   StatusOr<tensor::SparseTensor> Served = fuzzService().convert(Request);
   ASSERT_TRUE(Served.ok()) << "through the service: "
                            << Served.status().toString();
-  expectSameResult(Direct, *Served, Shuffled);
+  expectBitIdentical(Out, *Served, 0);
   ++Stats.JitCompared;
 }
 

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -78,6 +79,24 @@ void expectBitIdentical(const tensor::SparseTensor &Want,
         << What << ": param, level " << K;
   }
   EXPECT_EQ(Want.Vals, Got.Vals) << What << ": vals";
+}
+
+/// \p In (a COO-style tensor: compressed root, singletons below) with its
+/// entries in a seeded random storage order: the same nonzeros, unordered.
+tensor::SparseTensor shuffledCoo(const tensor::SparseTensor &In,
+                                 uint64_t Seed) {
+  std::vector<size_t> Order(In.Vals.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::mt19937_64 Rng(Seed);
+  std::shuffle(Order.begin(), Order.end(), Rng);
+  tensor::SparseTensor Out = In;
+  for (size_t I = 0; I < Order.size(); ++I) {
+    for (size_t K = 0; K < In.Levels.size(); ++K)
+      Out.Levels[K].Crd[I] = In.Levels[K].Crd[Order[I]];
+    Out.Vals[I] = In.Vals[Order[I]];
+  }
+  return Out;
 }
 
 /// Executes one candidate path hop by hop through interpreter-backed
@@ -480,7 +499,11 @@ TEST(PlannerFuzz, EveryCandidateBitIdenticalToForcedDirect) {
       {"csc", "coo", {12, 12}},       {"coo3", "csf", {6, 6, 6}},
       {"csf", "coo3", {6, 6, 6}},     {"csf_102", "csf", {6, 6, 6}},
       {"coo3", "csf_021", {6, 6, 6}},
+      // Extents past the dense-rank budget: sorted-ranking direct plans.
+      {"coo3", "csf", {int64_t(1) << 31, 1 << 20, 1 << 20}},
+      {"coo3", "csf_021", {int64_t(1) << 31, 1 << 20, 1 << 20}},
   };
+  int ShuffledRuns = 0;
   for (const Pair &P : Pairs) {
     formats::Format Src = formats::standardFormatOrDie(P.Src);
     formats::Format Dst = formats::standardFormatOrDie(P.Dst);
@@ -518,6 +541,75 @@ TEST(PlannerFuzz, EveryCandidateBitIdenticalToForcedDirect) {
       StatusOr<tensor::SparseTensor> OnR = Conv.tryRun(In);
       ASSERT_TRUE(OnR.ok()) << OnR.status().message();
       expectBitIdentical(Want, *OnR, "planner-on end-to-end");
+
+      // The same nonzeros stored out of order: the direct plan lays them
+      // out by its own rules, every candidate free to run on an unordered
+      // source matches it, and the engaged Converter serves it.
+      if (Src.Levels.back().Kind != formats::LevelKind::Singleton ||
+          In.storedSize() < 2)
+        continue;
+      tensor::SparseTensor Shuffled = shuffledCoo(In, Seed);
+      ASSERT_FALSE(Shuffled.lexOrderedUpTo(
+          static_cast<int>(Shuffled.Levels.size())));
+      tensor::SparseTensor WantShuffled;
+      {
+        ScopedEnv Off("CONVGEN_PLANNER", "off");
+        WantShuffled = convert::Converter(Src, Dst).run(Shuffled);
+      }
+      for (const planner::Candidate &C : D.Considered) {
+        if (C.NeedsOrderedSource)
+          continue;
+        StatusOr<tensor::SparseTensor> Got = runCandidate(C, Shuffled);
+        ASSERT_TRUE(Got.ok())
+            << C.Label << " failed: " << Got.status().message();
+        expectBitIdentical(WantShuffled, *Got, C.Label + " (shuffled)");
+        ++ShuffledRuns;
+      }
+      StatusOr<tensor::SparseTensor> OnShuffled = Conv.tryRun(Shuffled);
+      ASSERT_TRUE(OnShuffled.ok()) << OnShuffled.status().message();
+      expectBitIdentical(WantShuffled, *OnShuffled,
+                         "planner-on end-to-end (shuffled)");
     }
   }
+  EXPECT_GT(ShuffledRuns, 0);
+}
+
+TEST(PlannerOrderGate, OnlyCandidatesThatLayOutLevelsDifferentlyNeedOrder) {
+  ScopedEnv On("CONVGEN_PLANNER", "on");
+  ScopedEnv MinNnz("CONVGEN_PLANNER_MIN_NNZ", "1");
+  auto decideFor = [](const char *Src, const char *Dst,
+                      std::vector<int64_t> Dims) {
+    return planner::decide(formats::standardFormatOrDie(Src),
+                           formats::standardFormatOrDie(Dst),
+                           codegen::Options(),
+                           statsFor(250000, std::move(Dims)));
+  };
+  // Past the dense-rank budget every direct level is a sorted list or a
+  // rank array, placed in coordinate order like every variant's, so no
+  // direct variant needs an ordered source (and none pays the check).
+  const int64_t Side = int64_t(1) << 13;
+  for (planner::Decision D :
+       {decideFor("coo3", "csf", {Side, Side, Side}),
+        decideFor("csf", "csf_102", {Side, Side, Side})}) {
+    ASSERT_TRUE(D.Engaged) << D.Why;
+    ASSERT_GT(D.Considered.size(), 1u);
+    for (const planner::Candidate &C : D.Considered)
+      EXPECT_EQ(C.NeedsOrderedSource,
+                C.Kind == planner::Candidate::Path::TwoHop)
+          << C.Label;
+  }
+  // Small extents: the direct plan inserts the leaf level in source order,
+  // the sort-first variant places it in coordinate order.
+  planner::Decision Small = decideFor("coo3", "csf_021", {10, 2, 5});
+  ASSERT_TRUE(Small.Engaged) << Small.Why;
+  bool SawSorted = false;
+  for (const planner::Candidate &C : Small.Considered) {
+    if (C.Label == "direct")
+      EXPECT_FALSE(C.NeedsOrderedSource);
+    if (C.Label == "direct+sorted") {
+      SawSorted = true;
+      EXPECT_TRUE(C.NeedsOrderedSource);
+    }
+  }
+  EXPECT_TRUE(SawSorted);
 }

@@ -1197,3 +1197,97 @@ TEST(Pipeline, UnsortedSourceIsARequestErrorAtEveryEntryPoint) {
   EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::PlannerFallback],
             0u);
 }
+
+TEST(Pipeline, UnorderedSourceGetsTheDirectLayoutAtEveryEntryPoint) {
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv Outcomes("CONVGEN_OUTCOMES", "");
+  ScopedEnv On("CONVGEN_PLANNER", "on");
+  ScopedEnv MinNnz("CONVGEN_PLANNER_MIN_NNZ", "1");
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  // Several k per (i, j) fiber, entries reversed: the direct plan fills
+  // each leaf segment in source order (k descending), while a
+  // sorted-ranking candidate would sort it.
+  tensor::Triplets T;
+  T.setDims({3, 4, 5});
+  int V = 1;
+  for (int64_t I = 0; I < 3; ++I)
+    for (int64_t J = I % 2; J < 4; J += 2)
+      for (int64_t K = (I + J) % 3; K < 5; K += 2)
+        T.Entries.push_back(
+            tensor::Entry({I, J, K}, static_cast<double>(V++)));
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
+  for (tensor::LevelStorage &L : In.Levels)
+    std::reverse(L.Crd.begin(), L.Crd.end());
+  std::reverse(In.Vals.begin(), In.Vals.end());
+  ASSERT_FALSE(In.lexOrderedUpTo(3));
+  ASSERT_EQ(PlanCache::instance().plan(Coo3, Csf)->LexCheckLevels, 0)
+      << "the direct plan must accept the unordered source";
+  tensor::SparseTensor Want;
+  {
+    ScopedEnv Off("CONVGEN_PLANNER", "off");
+    Want = convert::Converter(Coo3, Csf).run(In);
+  }
+  resetBooks();
+  PlanCache &Cache = PlanCache::instance();
+  Cache.resetOutcomes();
+
+  // Teach both engines that the sort-first variant is far faster, so each
+  // decision departs from the direct plan.
+  const std::string Sorted = "direct+sorted";
+  planner::InputStats Stats = planner::InputStats::fromTensor(In);
+  planner::Decision Native, Interp;
+  for (planner::Engine E :
+       {planner::Engine::Jit, planner::Engine::Interpreter}) {
+    planner::Decision D =
+        planner::decide(Coo3, Csf, codegen::Options(), Stats, E);
+    for (int64_t I = 0; I < codegen::knobs().PlannerTrustAfter; ++I)
+      for (const planner::Candidate &C : D.Considered)
+        Cache.recordOutcome(C.OutcomeKey, C.Label == Sorted ? 0.01 : 1.0);
+    (E == planner::Engine::Jit ? Native : Interp) =
+        planner::decide(Coo3, Csf, codegen::Options(), Stats, E);
+  }
+  ASSERT_EQ(Native.Chosen.Label, Sorted);
+  ASSERT_EQ(Interp.Chosen.Label, Sorted);
+  // The premise: run on its own, the variant stores another layout.
+  tensor::SparseTensor Variant =
+      convert::Converter(Coo3, Csf, Native.Chosen.Hops.front().Opts).run(In);
+  ASSERT_NE(Variant.Levels.back().Crd, Want.Levels.back().Crd);
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 2;
+  ConversionService Service(Limits);
+  ConversionRequest R;
+  R.Source = Coo3;
+  R.Target = Csf;
+  R.Input = &In;
+  const std::string &InterpDirect = Interp.Considered.front().OutcomeKey;
+  const std::string &NativeDirect = Native.Considered.front().OutcomeKey;
+  uint64_t WantInterp = observations(InterpDirect);
+  uint64_t WantNative = observations(NativeDirect);
+  for (const EntryPoint &Entry : entryPoints(Service, R)) {
+    StatusOr<tensor::SparseTensor> Out = Entry.second();
+    ASSERT_TRUE(Out.ok()) << Entry.first << ": " << Out.status().toString();
+    expectBitIdentical(Want, *Out, Entry.first);
+    // The direct path served it and recorded the run under its own key.
+    if (std::string(Entry.first) == "Converter::tryRun")
+      ++WantInterp;
+    else
+      ++WantNative;
+    EXPECT_EQ(observations(InterpDirect), WantInterp) << Entry.first;
+    EXPECT_EQ(observations(NativeDirect), WantNative) << Entry.first;
+    EXPECT_EQ(observations(Interp.Chosen.OutcomeKey),
+              uint64_t(codegen::knobs().PlannerTrustAfter))
+        << Entry.first;
+    EXPECT_EQ(observations(Native.Chosen.OutcomeKey),
+              uint64_t(codegen::knobs().PlannerTrustAfter))
+        << Entry.first;
+  }
+  convert::ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Completed, 3u);
+  EXPECT_EQ(S.PlannerEngaged, 3u);
+  EXPECT_EQ(S.PlannerForcedStrategy, 0u);
+  EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::PlannerFallback],
+            0u);
+  Cache.resetOutcomes();
+}

@@ -4,6 +4,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "formats/Standard.h"
+#include "remap/Bounds.h"
 #include "remap/RemapParser.h"
 #include "tensor/Corpus.h"
 #include "tensor/Generators.h"
@@ -12,6 +13,10 @@
 #include "tensor/Tns.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <set>
 
 using namespace convgen;
 using namespace convgen::tensor;
@@ -594,4 +599,106 @@ TEST(Tensor, DumpMentionsEveryLevel) {
   EXPECT_NE(Dump.find("squeezed"), std::string::npos);
   EXPECT_NE(Dump.find("perm"), std::string::npos);
   EXPECT_NE(Dump.find("K=3"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Storage-order check
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The stored coordinate tuples of the first \p Levels levels in storage
+/// order, by a depth-first walk (dense, compressed and singleton levels).
+void storedTuples(const SparseTensor &S, int Levels, int K, int64_t Parent,
+                  std::vector<int64_t> &Cur,
+                  std::vector<std::vector<int64_t>> &Out) {
+  if (K == Levels) {
+    Out.push_back(Cur);
+    return;
+  }
+  const formats::LevelSpec &Spec = S.Format.Levels[static_cast<size_t>(K)];
+  const LevelStorage &L = S.Levels[static_cast<size_t>(K)];
+  switch (Spec.Kind) {
+  case formats::LevelKind::Dense: {
+    remap::NumericDimBounds B = remap::analyzeBoundsNumeric(
+        S.Format.Remap, S.Dims)[static_cast<size_t>(Spec.Dim)];
+    int64_t Extent = B.extent();
+    for (int64_t C = 0; C < Extent; ++C) {
+      Cur[static_cast<size_t>(K)] = B.Lo + C;
+      storedTuples(S, Levels, K + 1, Parent * Extent + C, Cur, Out);
+    }
+    return;
+  }
+  case formats::LevelKind::Compressed:
+    for (int32_t P = L.Pos[static_cast<size_t>(Parent)];
+         P < L.Pos[static_cast<size_t>(Parent) + 1]; ++P) {
+      Cur[static_cast<size_t>(K)] = L.Crd[static_cast<size_t>(P)];
+      storedTuples(S, Levels, K + 1, P, Cur, Out);
+    }
+    return;
+  case formats::LevelKind::Singleton:
+    Cur[static_cast<size_t>(K)] = L.Crd[static_cast<size_t>(Parent)];
+    storedTuples(S, Levels, K + 1, Parent, Cur, Out);
+    return;
+  default:
+    FAIL() << "unexpected level kind";
+  }
+}
+
+bool tuplesOrdered(const SparseTensor &S, int Levels) {
+  std::vector<int64_t> Cur(static_cast<size_t>(Levels));
+  std::vector<std::vector<int64_t>> Tuples;
+  storedTuples(S, Levels, 0, 0, Cur, Tuples);
+  return std::is_sorted(Tuples.begin(), Tuples.end());
+}
+
+} // namespace
+
+TEST(SourceOrder, FlatCheckAgreesWithTheStoredTupleOrder) {
+  // Random tensors in every format built from dense, compressed and
+  // singleton levels; each is checked as built, then with two crd entries
+  // of one level swapped (COO swaps whole entries), at every depth.
+  std::mt19937_64 Rng(7);
+  int Unordered = 0;
+  for (const char *Name :
+       {"coo", "csr", "csc", "coo3", "csf", "csf_021", "csf_102"}) {
+    formats::Format F = formats::standardFormatOrDie(Name);
+    for (int Round = 0; Round < 40; ++Round) {
+      SCOPED_TRACE(std::string(Name) + " round " + std::to_string(Round));
+      Triplets T;
+      std::vector<int64_t> Dims;
+      for (int D = 0; D < F.SrcOrder; ++D)
+        Dims.push_back(1 + static_cast<int64_t>(Rng() % 4));
+      T.setDims(Dims);
+      std::set<std::vector<int64_t>> Seen;
+      for (int E = 0; E < 12; ++E) {
+        std::vector<int64_t> C;
+        for (int64_t D : Dims)
+          C.push_back(static_cast<int64_t>(Rng() % static_cast<uint64_t>(D)));
+        if (Seen.insert(C).second)
+          T.Entries.push_back(Entry(C, 1.0 + E));
+      }
+      SparseTensor S = buildFromTriplets(F, T);
+      int Depth = static_cast<int>(F.Levels.size());
+      if (Round % 2) {
+        size_t K = Rng() % F.Levels.size();
+        if (F.Levels[K].Kind == formats::LevelKind::Dense)
+          K = F.Levels.size() - 1;
+        bool Coo = F.Levels.back().Kind == formats::LevelKind::Singleton;
+        size_t N = S.Levels[K].Crd.size();
+        if (N >= 2) {
+          size_t A = Rng() % N, B = Rng() % N;
+          for (size_t L = Coo ? 0 : K; L < (Coo ? F.Levels.size() : K + 1);
+               ++L)
+            std::swap(S.Levels[L].Crd[A], S.Levels[L].Crd[B]);
+        }
+      }
+      for (int Levels = 0; Levels <= Depth; ++Levels) {
+        bool Want = tuplesOrdered(S, Levels);
+        Unordered += !Want;
+        EXPECT_EQ(S.lexOrderedUpTo(Levels), Want) << Levels << " levels";
+      }
+    }
+  }
+  EXPECT_GT(Unordered, 20) << "the swaps must produce unordered storage";
 }
